@@ -7,10 +7,15 @@
 //! [`DurableRegistry`] under each policy (in-memory, `off`,
 //! `per-epoch=32`, `per-event`) and reports events/second plus the
 //! store's I/O counters. Phase 2 records journals of increasing
-//! length and times cold recovery (`DurableRegistry::open`). The run
-//! fails (exit 1) if per-event fsync is not measurably more expensive
-//! than per-epoch — that ordering is the whole point of the policy
-//! knob, and losing it silently would make `--fsync per-event` a lie.
+//! length and times cold recovery (`DurableRegistry::open`). Phase 3
+//! streams storms of `n` and `4n` events through a compacting store
+//! and compares the mean compaction snapshot size. The run fails
+//! (exit 1) if per-event fsync is not measurably more expensive than
+//! per-epoch — that ordering is the whole point of the policy knob,
+//! and losing it silently would make `--fsync per-event` a lie — or if
+//! the snapshot grows by more than 10 % with 4× the events: snapshots
+//! hold the pool's state, not its history, so compaction must bound
+//! disk.
 //!
 //! Scratch data directories live under `--out` (not `/tmp`, which is
 //! commonly tmpfs and would fake fsync costs).
@@ -55,12 +60,28 @@ struct ReplayPoint {
 }
 
 #[derive(Debug, Serialize)]
+struct SnapshotPoint {
+    events: u64,
+    compactions: u64,
+    /// Snapshot bytes written per compaction.
+    mean_snapshot_bytes: f64,
+}
+
+#[derive(Debug, Serialize)]
 struct PersistenceBench {
     gsps: usize,
     tasks: usize,
     policies: Vec<PolicyPoint>,
     replay: Vec<ReplayPoint>,
+    snapshot_size: Vec<SnapshotPoint>,
 }
+
+/// Journal size that triggers compaction in the snapshot-size phase:
+/// small enough that every storm compacts many times.
+const SNAPSHOT_PHASE_COMPACT_BYTES: u64 = 16 * 1024;
+
+/// How much the mean snapshot may grow when the event count grows 4×.
+const SNAPSHOT_GROWTH_BOUND: f64 = 0.10;
 
 fn scenario(args: &BenchArgs) -> FormationScenario {
     let tasks = if args.paper { 32 } else { 12 };
@@ -161,6 +182,28 @@ fn run_replay(s: &FormationScenario, scratch: &Path, events: u64) -> ReplayPoint
     }
 }
 
+fn run_snapshot_size(s: &FormationScenario, scratch: &Path, events: u64) -> SnapshotPoint {
+    let config = PersistConfig {
+        data_dir: fresh_dir(scratch, &format!("snapshot-{events}")),
+        fsync: FsyncPolicy::Off,
+        compact_bytes: SNAPSHOT_PHASE_COMPACT_BYTES,
+    };
+    let (mut durable, _) = DurableRegistry::open(s, ReputationEngine::default(), Some(&config))
+        .expect("registry opens");
+    let before = durable.store_stats().expect("persistent");
+    storm(&mut durable, events);
+    let after = durable.store_stats().expect("persistent");
+    drop(durable);
+    let _ = std::fs::remove_dir_all(&config.data_dir);
+    let compactions = after.compactions - before.compactions;
+    let bytes = after.snapshot_bytes_written - before.snapshot_bytes_written;
+    SnapshotPoint {
+        events,
+        compactions,
+        mean_snapshot_bytes: bytes as f64 / compactions.max(1) as f64,
+    }
+}
+
 fn main() {
     let args = BenchArgs::from_env();
     let s = scenario(&args);
@@ -185,6 +228,8 @@ fn main() {
         if args.paper { &[1_000, 5_000, 20_000] } else { &[250, 1_000, 3_000] };
     let replay: Vec<ReplayPoint> =
         replay_counts.iter().map(|&n| run_replay(&s, &scratch, n)).collect();
+    let snapshot_size: Vec<SnapshotPoint> =
+        [events / 4, events].iter().map(|&n| run_snapshot_size(&s, &scratch, n)).collect();
     let _ = std::fs::remove_dir_all(&scratch);
 
     let rows: Vec<Vec<String>> = policy_points
@@ -215,6 +260,17 @@ fn main() {
         })
         .collect();
     eprintln!("{}", ascii_table(&["events", "journal B", "replay s", "replayed/s"], &rows));
+    let rows: Vec<Vec<String>> = snapshot_size
+        .iter()
+        .map(|p| {
+            vec![
+                p.events.to_string(),
+                p.compactions.to_string(),
+                format!("{:.0}", p.mean_snapshot_bytes),
+            ]
+        })
+        .collect();
+    eprintln!("{}", ascii_table(&["events", "compactions", "snapshot B"], &rows));
 
     // The policy ladder must actually be a ladder: per-event pays for
     // its durability. Allow 10% jitter before calling it broken.
@@ -229,13 +285,33 @@ fn main() {
         std::process::exit(1);
     }
     assert!(per_event.fsyncs > per_epoch.fsyncs, "per-event must issue more fsyncs than per-epoch");
+    let (few, many) = (&snapshot_size[0], &snapshot_size[1]);
+    assert!(few.compactions > 0, "the snapshot-size phase must compact");
+    let growth = many.mean_snapshot_bytes / few.mean_snapshot_bytes - 1.0;
+    let snapshot_gate_failed = growth.abs() > SNAPSHOT_GROWTH_BOUND;
+    if snapshot_gate_failed {
+        eprintln!(
+            "error: compaction snapshots changed {:+.1} % ({:.0} B -> {:.0} B) when events grew \
+             {} -> {}; the bound is {:.0} % — snapshots must not grow with history",
+            growth * 100.0,
+            few.mean_snapshot_bytes,
+            many.mean_snapshot_bytes,
+            few.events,
+            many.events,
+            SNAPSHOT_GROWTH_BOUND * 100.0
+        );
+    }
 
     let bench = PersistenceBench {
         gsps: s.gsp_count(),
         tasks: s.task_count(),
         policies: policy_points,
         replay,
+        snapshot_size,
     };
     let json = serde_json::to_string_pretty(&bench).expect("bench report serializes");
     args.write_artifact("BENCH_persistence.json", &json).unwrap();
+    if snapshot_gate_failed {
+        std::process::exit(1);
+    }
 }

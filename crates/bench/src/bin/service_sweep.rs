@@ -63,13 +63,25 @@ struct ShedResult {
     served: u64,
 }
 
+/// One batched-vs-sequential trial pair.
+#[derive(Debug, Serialize)]
+struct BatchPair {
+    /// Whether the batched side ran first in this pair.
+    batched_first: bool,
+    sequential_rps: f64,
+    batch_rps: f64,
+    /// `batch_rps / sequential_rps`.
+    ratio: f64,
+}
+
 #[derive(Debug, Serialize)]
 struct BatchResult {
     clients: usize,
+    /// Seeds formed per side of one pair.
     formed_seeds: u64,
-    sequential_rps: f64,
-    batch_rps: f64,
-    speedup: f64,
+    pairs: Vec<BatchPair>,
+    /// Median of the per-pair ratios: the gated figure.
+    median_ratio: f64,
 }
 
 #[derive(Debug, Serialize)]
@@ -156,30 +168,36 @@ fn run_point(scenario: &FormationScenario, clients: usize, seeds: &[u64]) -> Swe
 /// cache-hit traffic — the regime where per-request handoff and
 /// transport (what batching amortizes) are the signal rather than
 /// noise under branch-and-bound solve variance.
-const BATCH_PASSES: usize = 20;
+const BATCH_PASSES: usize = 100;
+
+/// Batched-vs-sequential trial pairs in the batch phase. One pair's
+/// ratio swings with host noise (0.8x-2.2x observed on a 2-core
+/// host), so the gate takes the median over several pairs, alternating
+/// which side runs first so drift over the phase favours neither.
+const BATCH_PAIRS: usize = 9;
 
 /// Batch phase: at the top client count, the same per-client seed
 /// workload issued as `form_batch` requests (one snapshot pin, one
 /// round trip per pass) must form seeds at least as fast as the
 /// sequential `form` loop — the batch API is a pure win or it is a
-/// regression. Both sides run `BATCH_PASSES` passes against their own
-/// fresh, pre-warmed daemon.
+/// regression. Each side of each of `BATCH_PAIRS` pairs runs
+/// `BATCH_PASSES` passes against one pre-warmed daemon; the gate is
+/// the median per-pair ratio.
 fn run_batch(scenario: &FormationScenario, clients: usize, seeds: &[u64]) -> BatchResult {
+    let config = ServerConfig { workers: 4, queue_capacity: 256, ..ServerConfig::default() };
+    let handle = ServerHandle::spawn(scenario, config).expect("daemon spawns in-process");
+    let addr = handle.addr().to_string();
+
+    // Untimed warm-up: populate the solve cache so the measured passes
+    // compare dispatch paths, not solver luck.
+    let mut warmer = ServiceClient::connect(addr.as_str()).expect("warmer connects");
+    for &seed in seeds {
+        let resp = warmer.form(seed, MechanismKind::Tvof, None).expect("warm-up form round-trips");
+        assert!(matches!(resp, Response::Form { .. }));
+    }
+    drop(warmer);
+
     let measure = |batched: bool| -> f64 {
-        let config = ServerConfig { workers: 4, queue_capacity: 256, ..ServerConfig::default() };
-        let handle = ServerHandle::spawn(scenario, config).expect("daemon spawns in-process");
-        let addr = handle.addr().to_string();
-
-        // Untimed warm-up: populate the solve cache so the measured
-        // passes compare dispatch paths, not solver luck.
-        let mut warmer = ServiceClient::connect(addr.as_str()).expect("warmer connects");
-        for &seed in seeds {
-            let resp =
-                warmer.form(seed, MechanismKind::Tvof, None).expect("warm-up form round-trips");
-            assert!(matches!(resp, Response::Form { .. }));
-        }
-        drop(warmer);
-
         let started = Instant::now();
         let formed: u64 = std::thread::scope(|scope| {
             let workers: Vec<_> = (0..clients)
@@ -220,18 +238,27 @@ fn run_batch(scenario: &FormationScenario, clients: usize, seeds: &[u64]) -> Bat
             workers.into_iter().map(|w| w.join().expect("client thread survives")).sum()
         });
         let wall_seconds = started.elapsed().as_secs_f64();
-        handle.shutdown();
         formed as f64 / wall_seconds.max(1e-9)
     };
 
-    let sequential_rps = measure(false);
-    let batch_rps = measure(true);
+    let pairs: Vec<BatchPair> = (0..BATCH_PAIRS)
+        .map(|i| {
+            let batched_first = i % 2 == 1;
+            let (first, second) = (measure(batched_first), measure(!batched_first));
+            let (batch_rps, sequential_rps) =
+                if batched_first { (first, second) } else { (second, first) };
+            let ratio = batch_rps / sequential_rps.max(1e-9);
+            BatchPair { batched_first, sequential_rps, batch_rps, ratio }
+        })
+        .collect();
+    handle.shutdown();
+    let mut ratios: Vec<f64> = pairs.iter().map(|p| p.ratio).collect();
+    ratios.sort_by(f64::total_cmp);
     BatchResult {
         clients,
         formed_seeds: (clients * BATCH_PASSES * seeds.len()) as u64,
-        sequential_rps,
-        batch_rps,
-        speedup: batch_rps / sequential_rps.max(1e-9),
+        median_ratio: ratios[ratios.len() / 2],
+        pairs,
     }
 }
 
@@ -389,13 +416,21 @@ fn main() {
 
     let top_clients = *CLIENT_COUNTS.last().unwrap();
     let batch = run_batch(&scenario, top_clients, &args.seeds);
-    eprintln!(
-        "batch phase at {} clients: {:.1} seeds/s batched vs {:.1} req/s sequential ({:.2}x)",
-        batch.clients, batch.batch_rps, batch.sequential_rps, batch.speedup
-    );
-    let mut gate_failed = batch.batch_rps < batch.sequential_rps;
+    for p in &batch.pairs {
+        eprintln!(
+            "batch pair at {} clients ({} first): {:.1} seeds/s batched vs {:.1} req/s \
+             sequential ({:.2}x)",
+            batch.clients,
+            if p.batched_first { "batched" } else { "sequential" },
+            p.batch_rps,
+            p.sequential_rps,
+            p.ratio
+        );
+    }
+    eprintln!("batch phase median ratio over {} pairs: {:.2}x", BATCH_PAIRS, batch.median_ratio);
+    let mut gate_failed = batch.median_ratio < 1.0;
     if gate_failed {
-        eprintln!("error: form_batch throughput fell below sequential form throughput");
+        eprintln!("error: median form_batch throughput fell below sequential form throughput");
     }
 
     let deadline = run_deadline(&args);

@@ -24,52 +24,6 @@ use gridvo_solver::{repair, AssignmentInstance};
 use rand::Rng;
 use std::time::Instant;
 
-/// What one IP solve produced, plus telemetry. Shared between the
-/// formation driver and the fault-recovery path in
-/// [`crate::execution`].
-pub(crate) struct VoSolveReport {
-    /// `(assignment, cost, proven_optimal)` when feasible.
-    pub(crate) solved: Option<(gridvo_solver::Assignment, f64, bool)>,
-    /// Search-tree nodes expanded (0 for heuristics).
-    pub(crate) nodes: u64,
-    /// Final-incumbent provenance (exact solvers only).
-    pub(crate) incumbent_source: Option<String>,
-    /// Relative optimality gap (`Some(0.0)` when proven optimal).
-    /// Anything non-optimal produced under a wall-clock deadline is
-    /// wall-clock-dependent, which is why `solve_vo` only ever caches
-    /// proven results when a deadline is armed.
-    pub(crate) gap: Option<f64>,
-}
-
-impl VoSolveReport {
-    /// The cacheable image of this solve (what [`SolveCache::store`]
-    /// receives on a miss), tagged with the candidate VO it solved.
-    fn to_cached(&self, members: &[usize]) -> CachedSolve {
-        CachedSolve {
-            solved: self.solved.clone(),
-            nodes: self.nodes,
-            incumbent_source: self.incumbent_source.clone(),
-            gap: self.gap,
-            members: members.to_vec(),
-            // The driver has no epoch notion; epoch-aware cache
-            // owners re-stamp on store.
-            epoch: 0,
-        }
-    }
-
-    /// Rebuild a report from a cache hit. Deadline-truncated results
-    /// are never stored, so a replayed solve is by construction not
-    /// one.
-    fn from_cached(c: CachedSolve) -> Self {
-        VoSolveReport {
-            solved: c.solved,
-            nodes: c.nodes,
-            incumbent_source: c.incumbent_source,
-            gap: c.gap,
-        }
-    }
-}
-
 /// Which member leaves the VO at each iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvictionPolicy {
@@ -339,9 +293,9 @@ impl Mechanism {
         carry: Option<(&gridvo_solver::Assignment, usize)>,
         cache: &mut dyn SolveCache,
         budget: &Budget,
-    ) -> VoSolveReport {
+    ) -> CachedSolve {
         let Some(inst): Option<AssignmentInstance> = scenario.instance_for(members) else {
-            return VoSolveReport { solved: None, nodes: 0, incumbent_source: None, gap: None };
+            return CachedSolve { solved: None, nodes: 0, incumbent_source: None, gap: None };
         };
         let warm =
             carry.and_then(|(prev, evicted)| repair::repair_after_eviction(prev, evicted, &inst));
@@ -355,7 +309,7 @@ impl Mechanism {
         let node_cap = (budget.max_nodes != u64::MAX).then_some(budget.max_nodes);
         let key = solve_key_with_budget(&inst, warm.as_ref(), node_cap);
         if let Some(hit) = cache.lookup(key) {
-            return VoSolveReport::from_cached(hit);
+            return hit;
         }
         let report = self.solve_instance_with_budget(&inst, warm.as_ref(), budget);
         // Without a deadline every result (including node-cap
@@ -365,7 +319,7 @@ impl Mechanism {
         // timed-out Unknown rather than an infeasibility proof —
         // depends on wall-clock luck and is never stored.
         if budget.deadline.is_none() || matches!(&report.solved, Some((_, _, true))) {
-            cache.store(key, &report.to_cached(members));
+            cache.store(key, &report);
         }
         report
     }
@@ -377,7 +331,7 @@ impl Mechanism {
         &self,
         inst: &AssignmentInstance,
         warm: Option<&gridvo_solver::Assignment>,
-    ) -> VoSolveReport {
+    ) -> CachedSolve {
         self.solve_instance_with_budget(inst, warm, &Budget::unlimited())
     }
 
@@ -387,17 +341,17 @@ impl Mechanism {
         inst: &AssignmentInstance,
         warm: Option<&gridvo_solver::Assignment>,
         budget: &Budget,
-    ) -> VoSolveReport {
-        let from_status = |status: SolveStatus| -> VoSolveReport {
+    ) -> CachedSolve {
+        let from_status = |status: SolveStatus| -> CachedSolve {
             match status {
-                SolveStatus::Optimal(o) | SolveStatus::Feasible(o) => VoSolveReport {
+                SolveStatus::Optimal(o) | SolveStatus::Feasible(o) => CachedSolve {
                     nodes: o.nodes,
                     incumbent_source: Some(o.incumbent_source.as_str().to_string()),
                     gap: o.gap,
                     solved: Some((o.assignment, o.cost, o.optimal)),
                 },
                 SolveStatus::Infeasible { nodes } | SolveStatus::Unknown { nodes } => {
-                    VoSolveReport { solved: None, nodes, incumbent_source: None, gap: None }
+                    CachedSolve { solved: None, nodes, incumbent_source: None, gap: None }
                 }
             }
         };
@@ -414,7 +368,7 @@ impl Mechanism {
                     let cost = a.total_cost(inst);
                     (a, cost, false)
                 });
-                VoSolveReport { solved, nodes: 0, incumbent_source: None, gap: None }
+                CachedSolve { solved, nodes: 0, incumbent_source: None, gap: None }
             }
         }
     }

@@ -20,40 +20,29 @@
 //! `nodes` / `incumbent_source` telemetry) can depend on the seed, so
 //! two solves only share a cache slot when their entire input matches.
 //!
-//! Because the key is derived purely from solver inputs, reputation /
-//! trust state is invisible to it: trust-only registry updates
-//! invalidate **nothing** solver-side.
+//! Because the key is derived purely from solver inputs, a cached
+//! answer can never go stale: reputation, trust and leases are
+//! invisible to the solver, and any change to what a solve *means*
+//! (costs, times, membership) changes the key. Caches therefore need
+//! no invalidation, only a bound on memory.
 
 use gridvo_solver::instance::Fnv1a;
 use gridvo_solver::{Assignment, AssignmentInstance};
 
-/// One memoized IP solve: exactly the data the formation driver
-/// consumes from a solver run.
+/// What one IP solve produced, plus telemetry: exactly the data the
+/// formation driver consumes from a solver run, and so also the value
+/// a [`SolveCache`] memoizes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedSolve {
     /// `(assignment, cost, proven_optimal)` when feasible.
     pub solved: Option<(Assignment, f64, bool)>,
-    /// Search-tree nodes the original solve expanded.
+    /// Search-tree nodes expanded (0 for heuristics).
     pub nodes: u64,
-    /// Final-incumbent provenance of the original solve.
+    /// Final-incumbent provenance (exact solvers only).
     pub incumbent_source: Option<String>,
-    /// Relative optimality gap of the original solve (`Some(0.0)` when
-    /// proven optimal; positive when a node cap truncated it).
+    /// Relative optimality gap (`Some(0.0)` when proven optimal;
+    /// positive when a budget truncated the search).
     pub gap: Option<f64>,
-    /// Global ids of the candidate VO the solve was for. Not part of
-    /// the key — the instance content hash already covers the member
-    /// columns — but carried so cache owners can *target* eviction at
-    /// entries whose member set includes a given GSP instead of
-    /// flushing everything.
-    pub members: Vec<usize>,
-    /// Registry epoch the solve ran against. Like `members`, not part
-    /// of the key: cache owners use it to *age* eviction — a mutation
-    /// at epoch `e` only needs to touch entries stored before `e`,
-    /// because entries stamped at or after `e` were computed against
-    /// state that already includes the mutation. The driver itself is
-    /// epoch-ignorant and stamps `0`; epoch-aware owners re-stamp on
-    /// store (see `gridvo-service`'s `SharedSolveCache::at_epoch`).
-    pub epoch: u64,
 }
 
 /// A memo table for exact IP solves, keyed by [`solve_key`].
@@ -97,8 +86,7 @@ pub fn solve_key(inst: &AssignmentInstance, warm: Option<&Assignment>) -> u64 {
 /// every pre-existing cache line addressable. Wall-clock deadlines are
 /// deliberately *not* part of any key: deadline-truncated results are
 /// not reproducible and must never be stored (the driver skips the
-/// store when [`crate::mechanism::VoSolveReport`] flags a deadline
-/// hit).
+/// store unless a deadline-armed solve was proven optimal).
 pub fn solve_key_with_budget(
     inst: &AssignmentInstance,
     warm: Option<&Assignment>,
@@ -151,14 +139,7 @@ mod tests {
     #[test]
     fn no_cache_never_hits() {
         let mut c = NoCache;
-        let v = CachedSolve {
-            solved: None,
-            nodes: 3,
-            incumbent_source: None,
-            gap: None,
-            members: vec![0, 1],
-            epoch: 0,
-        };
+        let v = CachedSolve { solved: None, nodes: 3, incumbent_source: None, gap: None };
         c.store(7, &v);
         assert_eq!(c.lookup(7), None);
     }

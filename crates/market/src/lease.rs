@@ -141,25 +141,6 @@ impl LeaseTable {
         (0..pool).filter(|id| committed.binary_search(id).is_err()).collect()
     }
 
-    /// FNV-1a digest of the committed set, used to salt solve-cache
-    /// keys so a cached optimum is never served against a different
-    /// available pool. Returns 0 when nothing is committed, so an
-    /// idle market shares cache entries with plain formation.
-    pub fn free_digest(&self) -> u64 {
-        let committed = self.committed();
-        if committed.is_empty() {
-            return 0;
-        }
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for id in committed {
-            for byte in (id as u64).to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        hash.max(1) // never collide with the idle-market salt
-    }
-
     /// Renumber members after GSP `removed` left the registry: every
     /// id above it shifts down by one. The caller must have verified
     /// that `removed` itself is not held by any live lease.
@@ -207,22 +188,6 @@ mod tests {
         assert_eq!(t.acquire("bob", &[2, 3], 2), Err(LeaseError::Held { gsp: 2, lease: a }));
         assert_eq!(t.acquire("bob", &[], 2), Err(LeaseError::Empty));
         assert_eq!(t.live(), 1);
-    }
-
-    #[test]
-    fn digest_tracks_committed_set_only() {
-        let mut t = LeaseTable::new();
-        assert_eq!(t.free_digest(), 0);
-        let a = t.acquire("alice", &[1], 1).unwrap();
-        let d1 = t.free_digest();
-        assert_ne!(d1, 0);
-        let b = t.acquire("bob", &[3], 2).unwrap();
-        assert_ne!(t.free_digest(), d1);
-        t.release(b).unwrap();
-        // Same committed set, same digest, regardless of history.
-        assert_eq!(t.free_digest(), d1);
-        t.release(a).unwrap();
-        assert_eq!(t.free_digest(), 0);
     }
 
     #[test]

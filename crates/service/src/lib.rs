@@ -10,10 +10,10 @@
 //! server state:
 //!
 //! * [`registry::GspRegistry`] — the provider pool: add/remove GSPs,
-//!   ingest direct-trust reports, each mutation epoch-stamped into an
-//!   event log, with the pool-wide reputation vector refreshed
-//!   incrementally (power-method warm starts from the previous
-//!   vector);
+//!   ingest direct-trust reports, each mutation bumping the epoch and
+//!   logging one journaled event, with the pool-wide reputation
+//!   vector refreshed incrementally (power-method warm starts from the
+//!   previous vector);
 //! * [`shard::ShardedRegistry`] — the concurrency shell around the
 //!   pool: writes stage on per-GSP-id shard locks and commit in one
 //!   short critical section that also publishes a fresh immutable
@@ -26,8 +26,9 @@
 //!   the per-round exact IP solves, keyed by
 //!   [`gridvo_core::solve_cache::solve_key`]. Repeated or overlapping
 //!   formation requests against an unchanged registry replay
-//!   branch-and-bound results bit-identically; trust-only updates
-//!   invalidate nothing (the key covers solver inputs only);
+//!   branch-and-bound results bit-identically; no mutation
+//!   invalidates anything (the key covers solver inputs only), and
+//!   only the capacity bound evicts;
 //! * [`server`] — a bounded job queue drained by a `std::thread`
 //!   worker pool (rayon stays *inside* solves), with admission
 //!   control: a full queue sheds load with a typed

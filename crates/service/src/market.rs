@@ -1,5 +1,5 @@
-//! Market-aware formation glue: free-sub-pool scenarios, member
-//! remapping, and lease-salted cache keys.
+//! Market-aware formation glue: free-sub-pool scenarios and member
+//! remapping.
 //!
 //! A `form --app` request must only see the **free sub-pool** — the
 //! GSPs held by no live lease. The server pins an
@@ -9,20 +9,17 @@
 //! renumbered `0..k`), and lifts the resulting records back into
 //! global ids with [`gridvo_core::FormationOutcome::map_members`].
 //!
-//! Caching stays correct under contention because [`MarketCache`]
-//! mixes the snapshot's committed-set digest into every solve key: a
+//! Caching needs nothing market-specific: each round's solve key hashes
+//! the restricted instance's cost and time columns in order, so a
 //! cached optimum computed while GSP 3 was leased can never answer a
-//! request made after GSP 3 returned. When nothing is committed the
-//! digest is 0 and [`mix`] is the identity, so an idle market shares
-//! entries with plain (`--app`-less) formation byte-for-byte.
+//! request made after GSP 3 returned (the columns differ), and an
+//! idle market shares entries with plain (`--app`-less) formation
+//! byte-for-byte (the columns are the same).
 //!
 //! These helpers are `pub` so the torture tests drive the exact code
 //! the server runs when they recompute a serial oracle's responses.
 
-use gridvo_core::solve_cache::{CachedSolve, SolveCache};
 use gridvo_core::{FormationScenario, Gsp};
-
-use crate::cache::SharedSolveCache;
 
 /// Restrict `full` to the sub-pool `free` (global ids, ascending).
 /// The returned scenario renumbers the survivors `0..free.len()`;
@@ -39,53 +36,6 @@ pub fn free_scenario(full: &FormationScenario, free: &[usize]) -> Option<Formati
     let gsps: Vec<Gsp> =
         free.iter().enumerate().map(|(k, &g)| Gsp::new(k, full.gsps()[g].speed_gflops)).collect();
     FormationScenario::new(gsps, trust, inst).ok()
-}
-
-/// Mix a free-set digest into a solve key. Identity when `salt == 0`
-/// (the idle-market case), an FNV-1a-style scramble otherwise — so
-/// the same sub-scenario content under different committed sets can
-/// never collide onto one entry.
-pub fn mix(key: u64, salt: u64) -> u64 {
-    if salt == 0 {
-        return key;
-    }
-    let mut h = key ^ salt;
-    h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    h ^= h >> 29;
-    h.wrapping_mul(0x0000_0100_0000_01b3)
-}
-
-/// A [`SolveCache`] view for one market formation: keys are salted
-/// with the pinned snapshot's committed-set digest, and stored
-/// entries' member tags are lifted from sub-pool-local ids to global
-/// ids (so shard-targeted eviction still finds them).
-#[derive(Debug, Clone)]
-pub struct MarketCache {
-    inner: SharedSolveCache,
-    salt: u64,
-    free: Vec<usize>,
-}
-
-impl MarketCache {
-    /// Wrap `inner` (already epoch-stamped via
-    /// [`SharedSolveCache::at_epoch`]) for a formation over `free`
-    /// under committed-set digest `salt`.
-    pub fn new(inner: SharedSolveCache, salt: u64, free: &[usize]) -> Self {
-        MarketCache { inner, salt, free: free.to_vec() }
-    }
-}
-
-impl SolveCache for MarketCache {
-    fn lookup(&mut self, key: u64) -> Option<CachedSolve> {
-        self.inner.lookup(mix(key, self.salt))
-    }
-
-    fn store(&mut self, key: u64, value: &CachedSolve) {
-        let mut lifted = value.clone();
-        lifted.members =
-            lifted.members.iter().map(|&m| self.free.get(m).copied().unwrap_or(m)).collect();
-        self.inner.store(mix(key, self.salt), &lifted);
-    }
 }
 
 #[cfg(test)]
@@ -141,13 +91,6 @@ mod tests {
     }
 
     #[test]
-    fn mix_is_identity_only_when_idle() {
-        assert_eq!(mix(42, 0), 42);
-        assert_ne!(mix(42, 7), 42);
-        assert_ne!(mix(42, 7), mix(42, 8));
-    }
-
-    #[test]
     fn restricted_formation_lifts_to_global_ids() {
         // A formation over the sub-pool, lifted via map_members, must
         // select members drawn from the free set (global ids).
@@ -161,32 +104,6 @@ mod tests {
         let selected = outcome.selected.expect("sub-pool formation is feasible");
         assert!(!selected.members.is_empty());
         assert!(selected.members.iter().all(|m| free.contains(m)));
-    }
-
-    #[test]
-    fn market_cache_salts_keys_and_lifts_member_tags() {
-        let shared = SharedSolveCache::new(16);
-        let entry = CachedSolve {
-            solved: None,
-            nodes: 3,
-            incumbent_source: None,
-            gap: None,
-            members: vec![0, 1], // sub-pool-local ids
-            epoch: 0,
-        };
-        let free = vec![2, 3];
-        let mut salted = MarketCache::new(shared.at_epoch(1), 99, &free);
-        salted.store(7, &entry);
-        // The salted entry answers the same salted lookup...
-        let hit = salted.lookup(7).expect("salted hit");
-        assert_eq!(hit.members, vec![2, 3], "member tags lift to global ids");
-        // ...but is invisible at the raw key and under other salts.
-        assert!(shared.at_epoch(1).lookup(7).is_none());
-        assert!(MarketCache::new(shared.at_epoch(1), 98, &free).lookup(7).is_none());
-        // Salt 0 shares entries with the plain path.
-        let mut idle = MarketCache::new(shared.at_epoch(1), 0, &[0, 1]);
-        idle.store(11, &entry);
-        assert!(shared.at_epoch(1).lookup(11).is_some());
     }
 
     #[test]

@@ -193,11 +193,9 @@ impl DurableRegistry {
         };
         let event = self
             .registry
-            .events()
-            .last()
-            .ok_or_else(|| ServiceError::Storage("mutation logged no event".to_string()))?
-            .clone();
-        store.append(&event)?;
+            .last_event()
+            .ok_or_else(|| ServiceError::Storage("mutation logged no event".to_string()))?;
+        store.append(event)?;
         if store.should_compact() {
             let state = self.registry.persisted_state()?;
             store.compact(&state)?;

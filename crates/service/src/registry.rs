@@ -3,13 +3,16 @@
 //! A [`GspRegistry`] is a [`FormationScenario`] made mutable: the set
 //! of providers, the trust graph over them, and the per-task cost /
 //! time columns evolve between requests. Every mutation bumps a
-//! monotone **epoch** and appends to an event log, so clients can
-//! correlate responses with the registry state that produced them.
+//! monotone **epoch** by one and records exactly one
+//! [`RegistryEvent`], so clients can correlate responses with the
+//! registry state that produced them. Only the latest event is kept
+//! ([`GspRegistry::last_event`]): the durable layer journals it, and
+//! the journal is the history.
 //!
 //! Ids are **compacting positions**: GSP `k` is column `k` of the
 //! matrices and node `k` of the trust graph. Removing a GSP shifts
 //! the ids above it down by one (the response to a removal reports
-//! the new epoch; the event log records the removal).
+//! the new epoch; the journaled event records the removal).
 //!
 //! The pool-wide reputation vector is refreshed **incrementally**:
 //! each recompute warm-starts [`ReputationEngine::compute_with_start`]
@@ -110,7 +113,9 @@ impl gridvo_store::Stamped for RegistryEvent {
 /// journal tail — which reproduces the uninterrupted run's state
 /// bit-for-bit, including the warm-start chain of the reputation
 /// refreshes (the snapshot carries the exact reputation vector the
-/// next refresh warm-starts from).
+/// next refresh warm-starts from). It carries no event log — the
+/// journal is the history — and legacy snapshots that still hold an
+/// `events` array load with the array ignored.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PersistedState {
     /// Epoch of the last applied mutation.
@@ -124,9 +129,6 @@ pub struct PersistedState {
     pub reputation: Vec<f64>,
     /// Power iterations of the refresh that produced `reputation`.
     pub power_iterations: usize,
-    /// The full event log (kept so a recovered registry's event
-    /// history and counts match the uninterrupted run exactly).
-    pub events: Vec<RegistryEvent>,
     /// Receipt-driven Beta evidence, when any receipt has been
     /// reported. Absent from snapshots written before receipts
     /// existed — those still deserialize with no ledger.
@@ -157,7 +159,8 @@ pub struct RegistrySnapshot {
     /// Power-method iterations the last refresh needed (warm starts
     /// show up as small numbers here).
     pub power_iterations: usize,
-    /// Total mutations logged.
+    /// Mutations since bootstrap. Every mutation bumps the epoch once
+    /// and logs exactly one event, so this always equals `epoch`.
     pub events: usize,
 }
 
@@ -174,7 +177,9 @@ pub struct GspRegistry {
     deadline: f64,
     payment: f64,
     epoch: u64,
-    events: Vec<RegistryEvent>,
+    /// The event the latest mutation logged (what
+    /// `DurableRegistry` journals); `None` until one happens.
+    last_event: Option<RegistryEvent>,
     engine: ReputationEngine,
     /// Last pool-wide reputation vector (aligned with `gsps`); the
     /// warm start of the next refresh.
@@ -199,10 +204,10 @@ impl GspRegistry {
     }
 
     /// Rebuild a registry from a durable snapshot. Unlike
-    /// [`GspRegistry::from_scenario`] this restores the epoch, event
-    /// log, and the exact reputation vector instead of recomputing
-    /// cold — so subsequent refreshes continue the uninterrupted
-    /// run's warm-start chain bit-for-bit.
+    /// [`GspRegistry::from_scenario`] this restores the epoch and the
+    /// exact reputation vector instead of recomputing cold — so
+    /// subsequent refreshes continue the uninterrupted run's
+    /// warm-start chain bit-for-bit.
     pub fn from_persisted(state: &PersistedState, engine: ReputationEngine) -> Result<Self> {
         let mut reg = Self::from_parts(&state.scenario, engine);
         if state.reputation.len() != reg.gsps.len() {
@@ -213,7 +218,6 @@ impl GspRegistry {
             )));
         }
         reg.epoch = state.epoch;
-        reg.events = state.events.clone();
         reg.reputation = state.reputation.clone();
         reg.power_iterations = state.power_iterations;
         reg.beta = state.beta.clone();
@@ -241,7 +245,7 @@ impl GspRegistry {
             deadline: inst.deadline(),
             payment: inst.payment(),
             epoch: 0,
-            events: Vec::new(),
+            last_event: None,
             engine,
             reputation: Vec::new(),
             power_iterations: 0,
@@ -258,7 +262,6 @@ impl GspRegistry {
             scenario: self.scenario()?,
             reputation: self.reputation.clone(),
             power_iterations: self.power_iterations,
-            events: self.events.clone(),
             beta: self.beta.clone(),
             market: if self.market.is_pristine() { None } else { Some(self.market.clone()) },
         })
@@ -372,9 +375,10 @@ impl GspRegistry {
         self.gsps.len()
     }
 
-    /// The event log, oldest first.
-    pub fn events(&self) -> &[RegistryEvent] {
-        &self.events
+    /// The event the latest mutation logged, if any happened since
+    /// this registry was built or recovered.
+    pub fn last_event(&self) -> Option<&RegistryEvent> {
+        self.last_event.as_ref()
     }
 
     /// Pool-wide reputation scores, aligned with GSP ids.
@@ -425,7 +429,7 @@ impl GspRegistry {
         let id = m;
         self.gsps.push(Gsp::new(id, speed_gflops));
         self.epoch += 1;
-        self.events.push(RegistryEvent {
+        self.last_event = Some(RegistryEvent {
             epoch: self.epoch,
             op: "add_gsp".to_string(),
             gsp: Some(id),
@@ -487,7 +491,7 @@ impl GspRegistry {
         }
         self.market.shift_down(id);
         self.epoch += 1;
-        self.events.push(RegistryEvent::slim(self.epoch, "remove_gsp", Some(id), None, None));
+        self.last_event = Some(RegistryEvent::slim(self.epoch, "remove_gsp", Some(id), None, None));
         self.refresh_reputation()?;
         Ok(self.epoch)
     }
@@ -499,7 +503,7 @@ impl GspRegistry {
     pub fn report_trust(&mut self, from: usize, to: usize, value: f64) -> Result<u64> {
         self.trust.try_set_trust(from, to, value)?;
         self.epoch += 1;
-        self.events.push(RegistryEvent::slim(
+        self.last_event = Some(RegistryEvent::slim(
             self.epoch,
             "report_trust",
             Some(from),
@@ -540,7 +544,7 @@ impl GspRegistry {
         let mut event =
             RegistryEvent::slim(self.epoch, "report_receipt", Some(receipt.gsp), None, None);
         event.receipt = Some(receipt.clone());
-        self.events.push(event);
+        self.last_event = Some(event);
         self.refresh_reputation()?;
         Ok(self.epoch)
     }
@@ -571,7 +575,7 @@ impl GspRegistry {
         event.members = Some(
             self.market.leases().last().map_or_else(|| members.to_vec(), |l| l.members.clone()),
         );
-        self.events.push(event);
+        self.last_event = Some(event);
         Ok((lease, self.epoch))
     }
 
@@ -586,7 +590,7 @@ impl GspRegistry {
         let mut event = RegistryEvent::slim(self.epoch, "release_lease", None, None, None);
         event.lease = Some(lease);
         event.reason = Some(reason.to_string());
-        self.events.push(event);
+        self.last_event = Some(event);
         Ok(self.epoch)
     }
 
@@ -647,7 +651,7 @@ impl GspRegistry {
             tasks: self.tasks,
             reputation: self.reputation.clone(),
             power_iterations: self.power_iterations,
-            events: self.events.len(),
+            events: self.epoch as usize,
         }
     }
 
@@ -691,7 +695,7 @@ mod tests {
         let reg = registry();
         assert_eq!(reg.epoch(), 0);
         assert_eq!(reg.reputation().len(), 3);
-        assert!(reg.events().is_empty());
+        assert!(reg.last_event().is_none());
         let snap = reg.snapshot();
         assert_eq!(snap.gsps, 3);
         assert_eq!(snap.tasks, 4);
@@ -703,8 +707,8 @@ mod tests {
         let before = reg.reputation().to_vec();
         let epoch = reg.report_trust(0, 2, 1.0).unwrap();
         assert_eq!(epoch, 1);
-        assert_eq!(reg.events().len(), 1);
-        assert_eq!(reg.events()[0].op, "report_trust");
+        assert_eq!(reg.snapshot().events, 1);
+        assert_eq!(reg.last_event().unwrap().op, "report_trust");
         // GSP 2 is now more trusted than before.
         assert!(reg.reputation()[2] > before[2]);
     }
@@ -774,7 +778,6 @@ mod tests {
         let back: PersistedState = serde_json::from_str(&json).unwrap();
         let rebuilt = GspRegistry::from_persisted(&back, ReputationEngine::default()).unwrap();
         assert_eq!(rebuilt.epoch(), reg.epoch());
-        assert_eq!(rebuilt.events(), reg.events());
         assert_eq!(rebuilt.reputation(), reg.reputation(), "reputation must survive bit-exactly");
         assert_eq!(
             serde_json::to_string(&rebuilt.snapshot()).unwrap(),
@@ -786,17 +789,23 @@ mod tests {
     fn replaying_logged_events_rebuilds_the_registry() {
         let mut reg = registry();
         let mut replayed = registry();
+        let mut events = Vec::new();
         reg.report_trust(0, 2, 0.9).unwrap();
+        events.extend(reg.last_event().cloned());
         reg.add_gsp(90.0, &[2.0; 4], &[1.5; 4]).unwrap();
+        events.extend(reg.last_event().cloned());
         reg.remove_gsp(1).unwrap();
+        events.extend(reg.last_event().cloned());
         reg.report_trust(2, 0, 0.4).unwrap();
-        for ev in reg.events().to_vec() {
-            replayed.apply_event(&ev).unwrap();
+        events.extend(reg.last_event().cloned());
+        for ev in &events {
+            replayed.apply_event(ev).unwrap();
             // Idempotence: re-applying a covered event is a no-op.
-            replayed.apply_event(&ev).unwrap();
+            replayed.apply_event(ev).unwrap();
         }
         assert_eq!(replayed.reputation(), reg.reputation());
-        assert_eq!(replayed.events(), reg.events());
+        assert_eq!(replayed.last_event(), reg.last_event());
+        assert_eq!(replayed.snapshot(), reg.snapshot());
         assert_eq!(
             replayed.scenario().unwrap().instance().canonical_hash(),
             reg.scenario().unwrap().instance().canonical_hash()
@@ -822,8 +831,8 @@ mod tests {
         let (lease, epoch) = reg.acquire_lease("alice", &[2, 0]).unwrap();
         assert_eq!((lease, epoch), (1, 1));
         assert_eq!(reg.free_members(), vec![1]);
-        assert_eq!(reg.events()[0].op, "acquire_lease");
-        assert_eq!(reg.events()[0].members, Some(vec![0, 2]));
+        assert_eq!(reg.last_event().unwrap().op, "acquire_lease");
+        assert_eq!(reg.last_event().unwrap().members, Some(vec![0, 2]));
         assert_eq!(reg.reputation(), rep, "leases must not touch reputation");
         // The contested member is refused with a typed error.
         assert!(matches!(
@@ -857,13 +866,18 @@ mod tests {
     fn lease_events_replay_and_persist() {
         let mut reg = registry();
         let mut replayed = registry();
+        let mut events = Vec::new();
         reg.acquire_lease("alice", &[0, 1]).unwrap();
+        events.extend(reg.last_event().cloned());
         reg.report_trust(0, 2, 0.9).unwrap();
+        events.extend(reg.last_event().cloned());
         let (b, _) = reg.acquire_lease("bob", &[2]).unwrap();
+        events.extend(reg.last_event().cloned());
         reg.release_lease(b, "abandon").unwrap();
-        for ev in reg.events().to_vec() {
-            replayed.apply_event(&ev).unwrap();
-            replayed.apply_event(&ev).unwrap();
+        events.extend(reg.last_event().cloned());
+        for ev in &events {
+            replayed.apply_event(ev).unwrap();
+            replayed.apply_event(ev).unwrap();
         }
         assert_eq!(replayed.market(), reg.market());
         assert_eq!(replayed.free_members(), vec![2]);

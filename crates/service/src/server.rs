@@ -78,7 +78,7 @@ use gridvo_solver::Budget;
 use rand::SeedableRng;
 
 use crate::cache::SharedSolveCache;
-use crate::market::{free_scenario, MarketCache};
+use crate::market::free_scenario;
 use crate::metrics::{MarketGauges, Metrics, MetricsSnapshot};
 use crate::persist::PersistConfig;
 use crate::protocol::{decode, encode, MechanismKind, Request, Response};
@@ -436,12 +436,7 @@ fn dispatch(request: Request, shared: &Arc<Shared>) -> Dispatched {
         ),
         Request::RemoveGsp { id } => {
             Dispatched::one(match shared.registry.mutate(Touched::All, |reg| reg.remove_gsp(id)) {
-                Ok(epoch) => {
-                    // Removal renumbers ids, so member tags can no
-                    // longer address entries: flush wholesale.
-                    shared.cache.clear();
-                    Response::Ack { epoch, id: None }
-                }
+                Ok(epoch) => Response::Ack { epoch, id: None },
                 Err(e) => error_response(shared, e.to_string()),
             })
         }
@@ -452,19 +447,7 @@ fn dispatch(request: Request, shared: &Arc<Shared>) -> Dispatched {
                     .registry
                     .mutate(Touched::Ids(&touched), |reg| reg.report_trust(from, to, value))
                 {
-                    Ok(epoch) => {
-                        // Narrow eviction, in two dimensions: only solves
-                        // whose member set intersects the touched shards
-                        // (correctness never needs this — the solve key
-                        // covers solver inputs only — so untouched shards
-                        // stay hot), and only entries stored *before*
-                        // this mutation's epoch (a solve already computed
-                        // against the new snapshot stays resident).
-                        shared
-                            .cache
-                            .invalidate_members(&shared.registry.shard_members(&touched), epoch);
-                        Response::Ack { epoch, id: None }
-                    }
+                    Ok(epoch) => Response::Ack { epoch, id: None },
                     Err(e) => error_response(shared, e.to_string()),
                 },
             )
@@ -476,12 +459,7 @@ fn dispatch(request: Request, shared: &Arc<Shared>) -> Dispatched {
                     .registry
                     .mutate(Touched::Ids(&touched), |reg| reg.report_receipt(&receipt))
                 {
-                    Ok(epoch) => {
-                        shared
-                            .cache
-                            .invalidate_members(&shared.registry.shard_members(&touched), epoch);
-                        Response::Ack { epoch, id: None }
-                    }
+                    Ok(epoch) => Response::Ack { epoch, id: None },
                     Err(e) => error_response(shared, e.to_string()),
                 },
             )
@@ -642,15 +620,14 @@ fn worker_loop(shared: &Arc<Shared>) {
         if let Some(at) = deadline_at {
             if Instant::now() >= at {
                 shared.metrics.deadline_rejected();
-                let _ = job.reply.send(Response::DeadlineExceeded);
                 leave_app(shared, job.app.as_deref());
+                let _ = job.reply.send(Response::DeadlineExceeded);
                 continue;
             }
         }
         let served_at = Instant::now();
         serve(job.request, shared, &job.reply, deadline_at);
         shared.metrics.record_service_ms(served_at.elapsed().as_secs_f64() * 1e3);
-        leave_app(shared, job.app.as_deref());
         // `job.reply` drops here, closing the connection's stream.
     }
 }
@@ -672,8 +649,8 @@ fn serve(
             let _ = reply.send(Response::Pong);
         }
         Request::Form { seed, mechanism, app, .. } => {
-            let response = match app {
-                Some(app) => market_form(shared, &app, seed, mechanism, &budget),
+            let response = match &app {
+                Some(app) => market_form(shared, app, seed, mechanism, &budget),
                 None => {
                     let snapshot = shared.registry.snapshot();
                     match run_formation(shared, &snapshot, seed, mechanism, &budget) {
@@ -682,6 +659,10 @@ fn serve(
                     }
                 }
             };
+            // Give the app slot back before the reply goes out, so a
+            // client that reads `metrics` after its answer never sees
+            // its own finished job still holding a slot.
+            leave_app(shared, app.as_deref());
             let _ = reply.send(response);
         }
         Request::FormBatch { seeds, mechanism, .. } => {
@@ -782,10 +763,7 @@ fn market_form(
             &snapshot.scenario
         };
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        // Idle market (digest 0) shares cache entries with plain
-        // `form`; any committed set salts the keys (see crate::market).
-        let mut cache =
-            MarketCache::new(shared.cache.at_epoch(snapshot.epoch), snapshot.free_digest, &free);
+        let mut cache = shared.cache.clone();
         let mut outcome = match mechanism_for(kind)
             .run_cached_with_budget(scenario, &mut rng, &mut cache, budget)
         {
@@ -833,12 +811,7 @@ fn run_formation(
     budget: &Budget,
 ) -> std::result::Result<gridvo_core::FormationOutcome, String> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    // Stores through this handle are stamped with the snapshot's
-    // epoch, so a mutation committing concurrently (at a later epoch)
-    // still evicts them — only entries stored against a state that
-    // already includes a mutation survive it. Deadline-truncated
-    // solves are never stored at all (see `Mechanism::solve_vo`).
-    let mut cache = shared.cache.at_epoch(snapshot.epoch);
+    let mut cache = shared.cache.clone();
     let mut outcome = mechanism_for(kind)
         .run_cached_with_budget(&snapshot.scenario, &mut rng, &mut cache, budget)
         .map_err(|e| e.to_string())?;

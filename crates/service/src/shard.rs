@@ -29,11 +29,11 @@
 //!   `EpochSnapshot` is built and published while the writer lock is
 //!   still held, so snapshot epoch order equals journal order.
 //!
-//! The shard map also narrows cache hygiene: a mutation touching GSP
-//! `g` expands to the member ids sharing `g`'s shard
-//! ([`ShardedRegistry::shard_members`]), and eviction skips entries
-//! stored at-or-after the mutation's epoch (see
-//! [`crate::cache::SharedSolveCache::invalidate_members`]).
+//! Because every commit serializes on the writer lock anyway, the
+//! shard locks buy no concurrency of their own; they remain only
+//! because the benchmark driver (`vobench`) calls
+//! [`ShardedRegistry::open`] with a shard count and
+//! [`ShardedRegistry::mutate`] with [`Touched`].
 
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
@@ -61,10 +61,6 @@ pub struct EpochSnapshot {
     /// Global ids of the GSPs held by no live lease — the sub-pool a
     /// market-aware formation (`form --app`) runs against.
     pub free: Vec<usize>,
-    /// Digest of the committed set (0 when nothing is committed);
-    /// salts market solve-cache keys so a cached optimum is never
-    /// served against a different available pool.
-    pub free_digest: u64,
     /// Live leases at this epoch, in acquisition order.
     pub leases: Vec<gridvo_market::Lease>,
 }
@@ -76,7 +72,6 @@ impl EpochSnapshot {
             scenario: reg.registry().scenario()?,
             view: reg.registry().snapshot(),
             free: reg.registry().free_members(),
-            free_digest: reg.registry().market().free_digest(),
             leases: reg.registry().leases().to_vec(),
         })
     }
@@ -93,29 +88,12 @@ pub enum Touched<'a> {
     All,
 }
 
-/// Per-shard staging state (telemetry; the lock itself is the point).
-#[derive(Debug, Default)]
-struct ShardState {
-    /// Epoch of the last commit staged through this shard.
-    last_epoch: u64,
-    /// Commits staged through this shard.
-    mutations: u64,
-}
-
-/// Per-shard counters, for tests and debugging.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardStat {
-    /// Epoch of the last mutation staged through the shard.
-    pub last_epoch: u64,
-    /// Mutations staged through the shard.
-    pub mutations: u64,
-}
-
 /// The daemon's registry: sharded writes, lock-free-after-`Arc`-clone
 /// snapshot reads. See the module docs.
 #[derive(Debug)]
 pub struct ShardedRegistry {
-    shards: Vec<Mutex<ShardState>>,
+    /// Staging locks, one per shard; they guard no data.
+    shards: Vec<Mutex<()>>,
     /// The commit lock: owns the registry + journal. Held only for
     /// apply + journal append + snapshot rebuild.
     writer: Mutex<DurableRegistry>,
@@ -135,20 +113,15 @@ impl ShardedRegistry {
         let (durable, recovered) = DurableRegistry::open(scenario, engine, persist)?;
         let snapshot = Arc::new(EpochSnapshot::build(&durable)?);
         let sharded = ShardedRegistry {
-            shards: (0..shards.max(1)).map(|_| Mutex::new(ShardState::default())).collect(),
+            shards: (0..shards.max(1)).map(|_| Mutex::new(())).collect(),
             writer: Mutex::new(durable),
             current: RwLock::new(snapshot),
         };
         Ok((sharded, recovered))
     }
 
-    /// How many write shards the registry runs.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard owning GSP `id`.
-    pub fn shard_of(&self, id: usize) -> usize {
+    fn shard_of(&self, id: usize) -> usize {
         id % self.shards.len()
     }
 
@@ -158,26 +131,6 @@ impl ShardedRegistry {
         Arc::clone(&self.current.read().expect("snapshot lock poisoned"))
     }
 
-    /// Expand `touched` ids to every pool id sharing a shard with one
-    /// of them — the eviction granularity of the solve cache.
-    pub fn shard_members(&self, touched: &[usize]) -> Vec<usize> {
-        let pool = self.snapshot().view.gsps;
-        (0..pool)
-            .filter(|&g| touched.iter().any(|&t| self.shard_of(t) == self.shard_of(g)))
-            .collect()
-    }
-
-    /// Per-shard staging counters.
-    pub fn shard_stats(&self) -> Vec<ShardStat> {
-        self.shards
-            .iter()
-            .map(|s| {
-                let s = s.lock().expect("shard lock poisoned");
-                ShardStat { last_epoch: s.last_epoch, mutations: s.mutations }
-            })
-            .collect()
-    }
-
     /// Journal / snapshot counters, when persistence is on.
     pub fn store_stats(&self) -> Option<gridvo_store::StoreStats> {
         self.writer.lock().expect("writer lock poisoned").store_stats()
@@ -185,10 +138,9 @@ impl ShardedRegistry {
 
     /// Run one mutation: stage on the touched shards (ascending-index
     /// order, so concurrent mutations can never deadlock), commit
-    /// under the writer lock, publish the new snapshot, stamp the
-    /// staged shards. The snapshot is rebuilt and swapped *before*
-    /// the writer lock drops, so the published epoch sequence is
-    /// exactly the journal's.
+    /// under the writer lock, publish the new snapshot. The snapshot is
+    /// rebuilt and swapped *before* the writer lock drops, so the
+    /// published epoch sequence is exactly the journal's.
     pub fn mutate<T>(
         &self,
         touched: Touched<'_>,
@@ -203,7 +155,7 @@ impl ShardedRegistry {
             }
             Touched::All => (0..self.shards.len()).collect(),
         };
-        let mut guards: Vec<MutexGuard<'_, ShardState>> =
+        let _guards: Vec<MutexGuard<'_, ()>> =
             staged.iter().map(|&i| self.shards[i].lock().expect("shard lock poisoned")).collect();
 
         let mut writer = self.writer.lock().expect("writer lock poisoned");
@@ -216,10 +168,6 @@ impl ShardedRegistry {
         if committed != self.current.read().expect("snapshot lock poisoned").epoch {
             let snapshot = Arc::new(EpochSnapshot::build(&writer)?);
             *self.current.write().expect("snapshot lock poisoned") = snapshot;
-            for guard in &mut guards {
-                guard.last_epoch = committed;
-                guard.mutations += 1;
-            }
         }
         result
     }
@@ -266,26 +214,6 @@ mod tests {
             after.scenario.trust().trust(0, 1),
             "the new snapshot reflects the mutation"
         );
-    }
-
-    #[test]
-    fn shard_staging_stamps_only_touched_shards() {
-        let reg = open(3);
-        reg.mutate(Touched::Ids(&[1]), |r| r.report_trust(1, 2, 0.7)).unwrap();
-        let stats = reg.shard_stats();
-        assert_eq!(stats[1], ShardStat { last_epoch: 1, mutations: 1 });
-        assert_eq!(stats[0].mutations, 0);
-        // Membership churn drains every shard.
-        reg.mutate(Touched::All, |r| r.add_gsp(90.0, &[2.0; 4], &[1.5; 4])).unwrap();
-        assert!(reg.shard_stats().iter().all(|s| s.last_epoch == 2));
-    }
-
-    #[test]
-    fn shard_members_expand_to_whole_shards() {
-        let reg = open(2); // shards: {0, 2} and {1}
-        assert_eq!(reg.shard_members(&[0]), vec![0, 2]);
-        assert_eq!(reg.shard_members(&[1]), vec![1]);
-        assert_eq!(reg.shard_members(&[0, 1]), vec![0, 1, 2]);
     }
 
     #[test]

@@ -1,16 +1,15 @@
-//! Differential guarantee behind the narrow solve-cache eviction:
+//! Differential guarantee behind the never-invalidated solve cache:
 //! across an interleaving of trust reports, execution receipts, and
 //! formation requests, a caching daemon serves **byte-identical**
-//! responses to one with caching disabled — no stale hit ever
-//! survives a reputation-bearing mutation.
+//! responses to one with caching disabled — no cached solve is ever
+//! stale after a reputation-bearing mutation.
 //!
-//! The eviction policy under test
-//! ([`gridvo_service`'s `SharedSolveCache::invalidate_members`]) is
-//! deliberately narrow: a trust / receipt update drops only the
-//! cached solves whose member set includes a touched GSP. This test
-//! is what licenses that narrowness — if eviction ever under-shoots,
-//! the cached daemon diverges from the uncached one and the
-//! interleaving here catches it.
+//! The cache (`gridvo_service::SharedSolveCache`) evicts only for
+//! capacity: its keys hash the full solver input, and trust, receipts
+//! and reputation never enter a solve. This test is what licenses
+//! keeping every entry across mutations — if a mutation ever changed a
+//! solve without changing its key, the cached daemon would diverge
+//! from the uncached one and the interleaving here would catch it.
 
 use gridvo_core::{ExecutionReceipt, FormationScenario};
 use gridvo_service::protocol::MechanismKind;
@@ -36,7 +35,7 @@ enum Step {
 
 /// A fixed interleaving that revisits the same form seeds after every
 /// mutation, so a stale cache entry would be *served* (not just
-/// resident) if eviction missed it.
+/// resident) if a mutation ever changed a solve without changing its key.
 fn workload() -> Vec<Step> {
     vec![
         Step::Form { seed: 42 },

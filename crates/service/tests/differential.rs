@@ -8,10 +8,10 @@
 //!   timing canonicalization on both sides);
 //! * a repeated identical request is served **from the solve cache**
 //!   (hits counted in metrics) with the **same bytes**;
-//! * a trust / receipt update evicts cache entries **narrowly** — only
-//!   solves whose member set includes a touched GSP — and the replay
-//!   still serves identical bytes (hygiene eviction, never staleness;
-//!   `tests/cache_invalidation.rs` holds the full interleaving);
+//! * a trust / receipt update evicts **nothing** — the solve key is a
+//!   content hash of the solver input, which trust never enters — and
+//!   the replay still serves identical bytes, all from the cache
+//!   (`tests/cache_invalidation.rs` holds the full interleaving);
 //! * admission control sheds load with typed `Busy` /
 //!   `DeadlineExceeded` responses instead of hanging or panicking.
 
@@ -57,6 +57,22 @@ fn served_form_is_bit_identical_to_direct_call() {
         serde_json::to_string(&served).unwrap(),
         serde_json::to_string(&direct).unwrap(),
         "served formation differs from the direct library call"
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn served_form_with_the_largest_seed_is_bit_identical_to_direct_call() {
+    let (handle, s) = spawn(ServerConfig::default());
+    let mut client = ServiceClient::connect(handle.addr()).unwrap();
+    let served = match client.form(u64::MAX, MechanismKind::Tvof, None).unwrap() {
+        Response::Form { outcome, .. } => outcome,
+        other => panic!("expected form response, got {:?}", other.kind()),
+    };
+    assert_eq!(
+        serde_json::to_string(&served).unwrap(),
+        serde_json::to_string(&direct_form(&s, u64::MAX)).unwrap(),
+        "a seed above i64::MAX must reach the mechanism exactly"
     );
     handle.shutdown();
 }
@@ -142,10 +158,9 @@ fn trust_updates_evict_narrowly_and_replays_stay_identical() {
 
     // Re-report an existing edge at its current weight: the epoch
     // advances but reputations — and thus the eviction order and the
-    // solved instances — are unchanged. The update *does* drop the
-    // cached solves whose member set includes the touched GSPs
-    // (hygiene eviction), so the replay re-solves those — but the
-    // bytes it serves must not move.
+    // solved instances — are unchanged. Trust is not a solver input,
+    // so the update evicts nothing: the replay is served entirely
+    // from the cache, with the same bytes.
     let existing = s.trust().edges().next().expect("generated scenario has trust edges");
     let epoch = client.report_trust(existing.0, existing.1, existing.2).unwrap();
     assert_eq!(epoch, 1, "trust report must bump the registry epoch");
@@ -158,9 +173,9 @@ fn trust_updates_evict_narrowly_and_replays_stay_identical() {
         serde_json::to_string(&second).unwrap(),
         "a no-op trust update changed the served bytes"
     );
-    assert!(
-        after.cache_misses > hot.cache_misses,
-        "touching a formed member's trust edge must evict its cached solves"
+    assert_eq!(
+        after.cache_misses, hot.cache_misses,
+        "a trust update must not evict content-keyed solves"
     );
     handle.shutdown();
 }

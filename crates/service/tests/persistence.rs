@@ -102,6 +102,56 @@ fn recovered_daemon_is_byte_identical_to_an_uninterrupted_one() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A data directory written by a daemon whose compaction snapshots
+/// still serialized the registry's full event log: a snapshot at epoch
+/// 7 (after [`mutate`], with an `events` array) plus a two-event
+/// journal tail.
+const LEGACY_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/legacy_snapshot");
+
+/// The two mutations in [`LEGACY_DIR`]'s journal tail.
+fn mutate_tail(client: &mut ServiceClient) {
+    client.report_trust(4, 0, 0.35).unwrap();
+    client.report_receipt(ExecutionReceipt::new(3, 0, true, 4.0, vec![2, 4])).unwrap();
+}
+
+#[test]
+fn legacy_snapshot_with_an_event_log_recovers_byte_identically() {
+    let dir = scratch("legacy");
+    std::fs::create_dir_all(&dir).unwrap();
+    for entry in std::fs::read_dir(LEGACY_DIR).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+    }
+    let snapshot = std::fs::read_to_string(dir.join("snapshot-00000000000000000007.json")).unwrap();
+    assert!(snapshot.contains("\"events\":[{"), "the golden must carry a legacy event log");
+
+    let handle = spawn(None);
+    let mut client = ServiceClient::connect(handle.addr()).unwrap();
+    mutate(&mut client, scenario().task_count());
+    mutate_tail(&mut client);
+    let want_registry = serde_json::to_string(&client.registry().unwrap()).unwrap();
+    let want_form = form_bytes(&mut client, 42);
+    handle.shutdown();
+
+    let handle = spawn(Some(persist(&dir)));
+    assert_eq!(handle.recovered_epoch(), Some(9));
+    let mut client = ServiceClient::connect(handle.addr()).unwrap();
+    assert_eq!(serde_json::to_string(&client.registry().unwrap()).unwrap(), want_registry);
+    assert_eq!(form_bytes(&mut client, 42), want_form);
+    handle.shutdown();
+
+    // The next compaction writes a snapshot without the log.
+    let config = PersistConfig { compact_bytes: 1, ..persist(&dir) };
+    let (mut durable, _) =
+        DurableRegistry::open(&scenario(), ReputationEngine::default(), Some(&config)).unwrap();
+    durable.report_trust(0, 1, 0.6).unwrap();
+    drop(durable);
+    let compacted =
+        std::fs::read_to_string(dir.join("snapshot-00000000000000000010.json")).unwrap();
+    assert!(!compacted.contains("\"events\""), "new snapshots carry no event log");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn torn_journal_tails_recover_to_exact_prefixes() {
     let dir = scratch("torn");
@@ -109,12 +159,20 @@ fn torn_journal_tails_recover_to_exact_prefixes() {
     let config = persist(&dir);
 
     let (mut durable, _) = DurableRegistry::open(&scenario(), engine(), Some(&config)).unwrap();
+    let mut full_events: Vec<RegistryEvent> = Vec::new();
+    let mut logged = |durable: &DurableRegistry| {
+        full_events.push(durable.registry().last_event().cloned().expect("mutation logged"))
+    };
     durable.report_trust(0, 2, 0.9).unwrap();
+    logged(&durable);
     durable.add_gsp(120.0, &[2.0; 12], &[0.5; 12]).unwrap();
+    logged(&durable);
     durable.report_trust(5, 1, 0.7).unwrap();
+    logged(&durable);
     durable.remove_gsp(3).unwrap();
+    logged(&durable);
     durable.report_receipt(&ExecutionReceipt::new(0, 2, true, 6.0, vec![0, 1])).unwrap();
-    let full_events = durable.registry().events().to_vec();
+    logged(&durable);
     drop(durable);
     let journal_path = dir.join(JOURNAL_FILE);
     let pristine = std::fs::read(&journal_path).unwrap();

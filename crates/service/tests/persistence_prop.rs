@@ -82,10 +82,16 @@ proptest! {
         let (mut durable, recovered) =
             DurableRegistry::open(&scenario(), engine(), Some(&config)).unwrap();
         prop_assert!(recovered.is_none());
+        // Collect each successful mutation's event as it happens.
+        let mut events: Vec<RegistryEvent> = Vec::new();
         for op in &ops {
+            let before = durable.registry().epoch();
             apply(&mut durable, op);
+            if durable.registry().epoch() != before {
+                events.extend(durable.registry().last_event().cloned());
+            }
         }
-        let events = durable.registry().events().to_vec();
+        prop_assert_eq!(events.len() as u64, durable.registry().epoch());
         drop(durable);
 
         let journal_path = dir.join(JOURNAL_FILE);

@@ -67,6 +67,31 @@ fn frozen_lines_decode_back_to_the_same_values() {
 }
 
 #[test]
+fn seeds_above_i64_max_round_trip_as_integer_text() {
+    let form = Request::Form {
+        seed: u64::MAX,
+        mechanism: MechanismKind::Tvof,
+        deadline_ms: None,
+        app: None,
+    };
+    let line = encode(&form);
+    assert_eq!(
+        line,
+        r#"{"op":"form","seed":18446744073709551615,"mechanism":"tvof","deadline_ms":null}"#
+    );
+    assert_eq!(decode::<Request>(&line).unwrap(), form);
+
+    let batch = Request::FormBatch {
+        seeds: vec![1, 1 << 63, u64::MAX],
+        mechanism: MechanismKind::Rvof,
+        deadline_ms: Some(u64::MAX),
+    };
+    let line = encode(&batch);
+    assert!(line.contains("[1,9223372036854775808,18446744073709551615]"), "{line}");
+    assert_eq!(decode::<Request>(&line).unwrap(), batch);
+}
+
+#[test]
 fn legacy_form_batch_without_optional_fields_still_parses() {
     // A minimal line from a client predating the optional fields:
     // mechanism defaults, deadline comes back `None`.

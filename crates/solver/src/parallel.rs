@@ -5,9 +5,10 @@
 //! runs the sequential [`Searcher`](crate::branch_bound) on its
 //! subtree. Workers share one **global incumbent**: the best cost is an
 //! `AtomicU64` holding the `f64` bit pattern (for non-negative floats,
-//! the IEEE-754 total order coincides with integer order on the bits,
-//! so a CAS min loop works), and the best assignment sits behind a
-//! `parking_lot::Mutex` updated only on improvement.
+//! the IEEE-754 total order coincides with integer order on the bits),
+//! read lock-free for pruning, and the best assignment sits behind a
+//! `parking_lot::Mutex`; an improvement updates both under that mutex,
+//! so the cost never runs ahead of the assignment it belongs to.
 //!
 //! The result is deterministic in *value* (every worker proves bounds
 //! against the same admissible relaxations) though not in *which*
@@ -75,24 +76,19 @@ impl IncumbentSink for SharedIncumbent {
     fn offer(&self, cost: f64, assignment: &[usize]) -> bool {
         debug_assert!(cost >= 0.0, "costs are non-negative by construction");
         let new_bits = cost.to_bits();
-        let mut cur = self.cost_bits.load(Ordering::Acquire);
-        loop {
-            if new_bits >= cur {
-                return false; // someone already has an equal-or-better solution
-            }
-            match self.cost_bits.compare_exchange_weak(
-                cur,
-                new_bits,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    *self.best.lock() = Some(assignment.to_vec());
-                    return true;
-                }
-                Err(actual) => cur = actual,
-            }
+        if new_bits >= self.cost_bits.load(Ordering::Acquire) {
+            return false; // someone already has an equal-or-better solution
         }
+        // Cost and assignment change together under the lock: were the
+        // cost published first, a slower worker could overwrite a
+        // better assignment with its own after the cost had moved on.
+        let mut best = self.best.lock();
+        if new_bits >= self.cost_bits.load(Ordering::Acquire) {
+            return false;
+        }
+        self.cost_bits.store(new_bits, Ordering::Release);
+        *best = Some(assignment.to_vec());
+        true
     }
 }
 
