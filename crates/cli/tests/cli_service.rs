@@ -125,6 +125,41 @@ fn sigterm_shuts_the_daemon_down_cleanly() {
 }
 
 #[test]
+fn a_join_that_outgrows_the_program_is_refused_over_the_wire() {
+    // 12 tasks and 12 GSPs: a 13th provider would leave one with no
+    // task (constraint 13), so the join must be refused, not applied.
+    let (mut child, _reader, addr) = spawn_daemon(&["--gsps", "12"]);
+    let column = ["1"; 12].join(",");
+    let out = gridvo()
+        .args(["request", "add-gsp", "--addr", &addr, "--speed", "50"])
+        .args(["--cost", &column, "--time", &column])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "refused join must exit 2: {stderr}");
+    assert!(stderr.contains("12 tasks cannot cover 13 GSPs"), "untyped refusal: {stderr}");
+
+    let out = run_ok(gridvo().args(["request", "registry", "--addr", &addr]));
+    assert!(out.contains("epoch 0"), "refused join moved the epoch: {out}");
+    let out = run_ok(gridvo().args([
+        "request",
+        "report-trust",
+        "--addr",
+        &addr,
+        "--from",
+        "0",
+        "--to",
+        "1",
+        "--value",
+        "0.9",
+    ]));
+    assert!(out.contains("epoch now 1"), "daemon stopped publishing: {out}");
+
+    drop(child.stdin.take());
+    assert!(wait_with_timeout(&mut child, 10).success());
+}
+
+#[test]
 fn request_subcommand_fails_cleanly_without_a_daemon() {
     // Port 1 on loopback is never listening; the client must error,
     // not hang or panic.

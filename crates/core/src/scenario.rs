@@ -1,6 +1,8 @@
 //! The input to a formation run: GSPs, trust, and the grand-coalition
 //! assignment instance.
 
+use std::sync::Arc;
+
 use crate::gsp::Gsp;
 use crate::{CoreError, Result};
 use gridvo_solver::AssignmentInstance;
@@ -15,12 +17,17 @@ use serde::{Deserialize, Serialize};
 ///   (cost matrix, time matrix, deadline `d`, payment `P`).
 ///
 /// Instances for smaller VOs are derived by column restriction.
+///
+/// The instance sits behind an `Arc`: a daemon publishes a fresh
+/// scenario on every trust report, but the matrices change only when
+/// the pool's membership does, so successive scenarios share them.
+/// It serializes as the bare instance.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(try_from = "RawScenario")]
 pub struct FormationScenario {
     gsps: Vec<Gsp>,
     trust: TrustGraph,
-    instance: AssignmentInstance,
+    instance: Arc<AssignmentInstance>,
 }
 
 /// Serde shadow: deserialization re-runs the cross-shape validation,
@@ -44,6 +51,16 @@ impl FormationScenario {
     /// Build and cross-validate a scenario. The trust graph and the
     /// instance's GSP dimension must both match `gsps.len()`.
     pub fn new(gsps: Vec<Gsp>, trust: TrustGraph, instance: AssignmentInstance) -> Result<Self> {
+        Self::from_shared(gsps, trust, Arc::new(instance))
+    }
+
+    /// [`FormationScenario::new`] over an instance that is already
+    /// shared: the same shape checks, no matrix copy.
+    pub fn from_shared(
+        gsps: Vec<Gsp>,
+        trust: TrustGraph,
+        instance: Arc<AssignmentInstance>,
+    ) -> Result<Self> {
         let m = gsps.len();
         if trust.node_count() != m {
             return Err(CoreError::ShapeMismatch { context: "trust graph vs GSP count" });
@@ -131,6 +148,25 @@ mod tests {
         assert!(matches!(bad_trust, Err(CoreError::ShapeMismatch { .. })));
         let bad_inst = FormationScenario::new(gsps, TrustGraph::new(2), instance(4, 3));
         assert!(matches!(bad_inst, Err(CoreError::ShapeMismatch { .. })));
+    }
+
+    #[test]
+    fn from_shared_checks_shapes_and_shares_the_instance() {
+        let gsps = vec![Gsp::new(0, 10.0), Gsp::new(1, 20.0)];
+        let shared = Arc::new(instance(4, 2));
+        let a = FormationScenario::from_shared(gsps.clone(), TrustGraph::new(2), shared.clone())
+            .unwrap();
+        let b = FormationScenario::from_shared(gsps.clone(), TrustGraph::new(2), shared.clone())
+            .unwrap();
+        assert!(std::ptr::eq(a.instance(), b.instance()), "no matrix copy");
+        let bad = FormationScenario::from_shared(gsps, TrustGraph::new(3), shared);
+        assert!(matches!(bad, Err(CoreError::ShapeMismatch { .. })));
+        // The shared instance serializes as the bare one.
+        let direct = FormationScenario::new(a.gsps().to_vec(), TrustGraph::new(2), instance(4, 2));
+        assert_eq!(
+            serde_json::to_string(&a).unwrap(),
+            serde_json::to_string(&direct.unwrap()).unwrap()
+        );
     }
 
     #[test]

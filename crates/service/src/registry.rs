@@ -9,6 +9,11 @@
 //! ([`GspRegistry::last_event`]): the durable layer journals it, and
 //! the journal is the history.
 //!
+//! The grand-coalition [`AssignmentInstance`] is built and validated
+//! once per membership change and shared behind an `Arc` from then
+//! on: trust reports, receipts and leases never touch the matrices,
+//! so every scenario they publish points at the same instance.
+//!
 //! Ids are **compacting positions**: GSP `k` is column `k` of the
 //! matrices and node `k` of the trust graph. Removing a GSP shifts
 //! the ids above it down by one (the response to a removal reports
@@ -20,8 +25,10 @@
 //! removal), so a single trust report costs a handful of power
 //! iterations instead of a cold solve.
 
+use std::sync::Arc;
+
 use gridvo_core::reputation::ReputationEngine;
-use gridvo_core::{ExecutionReceipt, FormationScenario, Gsp};
+use gridvo_core::{CoreError, ExecutionReceipt, FormationScenario, Gsp};
 use gridvo_market::{Lease, LeaseError, LeaseTable};
 use gridvo_solver::AssignmentInstance;
 use gridvo_trust::beta::{BetaLedger, DEFAULT_LAMBDA};
@@ -169,13 +176,9 @@ pub struct RegistrySnapshot {
 pub struct GspRegistry {
     gsps: Vec<Gsp>,
     trust: TrustGraph,
-    /// `tasks × m` row-major cost matrix.
-    cost: Vec<f64>,
-    /// `tasks × m` row-major time matrix.
-    time: Vec<f64>,
-    tasks: usize,
-    deadline: f64,
-    payment: f64,
+    /// The grand-coalition instance (`tasks × m` cost and time,
+    /// deadline, payment); replaced only by `add_gsp`/`remove_gsp`.
+    instance: Arc<AssignmentInstance>,
     epoch: u64,
     /// The event the latest mutation logged (what
     /// `DurableRegistry` journals); `None` until one happens.
@@ -228,22 +231,10 @@ impl GspRegistry {
     /// Field extraction shared by the bootstrap paths: everything but
     /// the reputation state.
     fn from_parts(scenario: &FormationScenario, engine: ReputationEngine) -> Self {
-        let inst = scenario.instance();
-        let (tasks, m) = (inst.tasks(), inst.gsps());
-        let mut cost = Vec::with_capacity(tasks * m);
-        let mut time = Vec::with_capacity(tasks * m);
-        for t in 0..tasks {
-            cost.extend_from_slice(inst.cost_row(t));
-            time.extend_from_slice(inst.time_row(t));
-        }
         GspRegistry {
             gsps: scenario.gsps().to_vec(),
             trust: scenario.trust().clone(),
-            cost,
-            time,
-            tasks,
-            deadline: inst.deadline(),
-            payment: inst.payment(),
+            instance: Arc::new(scenario.instance().clone()),
             epoch: 0,
             last_event: None,
             engine,
@@ -389,7 +380,9 @@ impl GspRegistry {
     /// Join the pool: a new GSP with its per-task cost and time
     /// columns (length = task count, finite and positive). It enters
     /// with no trust edges — reputation accrues from later reports.
-    /// Returns `(new id, new epoch)`.
+    /// A join that would leave fewer tasks than GSPs is refused with
+    /// [`gridvo_solver::SolverError::TooFewTasks`] before any state
+    /// changes. Returns `(new id, new epoch)`.
     pub fn add_gsp(
         &mut self,
         speed_gflops: f64,
@@ -399,33 +392,43 @@ impl GspRegistry {
         if !speed_gflops.is_finite() || speed_gflops <= 0.0 {
             return Err(ServiceError::BadColumn { context: "speed must be finite and positive" });
         }
-        if cost.len() != self.tasks || time.len() != self.tasks {
+        let (tasks, m) = (self.instance.tasks(), self.gsps.len());
+        if cost.len() != tasks || time.len() != tasks {
             return Err(ServiceError::BadColumn { context: "column length != task count" });
         }
         if cost.iter().chain(time.iter()).any(|v| !v.is_finite() || *v <= 0.0) {
             return Err(ServiceError::BadColumn { context: "entries must be finite and positive" });
         }
-        let m = self.gsps.len();
-        // Grow the trust graph by one isolated node (copy all edges).
+        // Build everything fallible first, so a refused join leaves
+        // the registry untouched: the instance with the new column
+        // spliced into each row, and the trust graph grown by one
+        // isolated node.
+        let mut new_cost = Vec::with_capacity(tasks * (m + 1));
+        let mut new_time = Vec::with_capacity(tasks * (m + 1));
+        for t in 0..tasks {
+            new_cost.extend_from_slice(self.instance.cost_row(t));
+            new_cost.push(cost[t]);
+            new_time.extend_from_slice(self.instance.time_row(t));
+            new_time.push(time[t]);
+        }
+        let instance = AssignmentInstance::new(
+            tasks,
+            m + 1,
+            new_cost,
+            new_time,
+            self.instance.deadline(),
+            self.instance.payment(),
+        )
+        .map_err(CoreError::from)?;
         let mut grown = TrustGraph::new(m + 1);
         for (i, j, w) in self.trust.edges() {
             grown.try_set_trust(i, j, w)?;
         }
+        self.instance = Arc::new(instance);
         self.trust = grown;
         if let Some(ledger) = &mut self.beta {
             ledger.grow();
         }
-        // Splice the new column into the row-major matrices.
-        let mut new_cost = Vec::with_capacity(self.tasks * (m + 1));
-        let mut new_time = Vec::with_capacity(self.tasks * (m + 1));
-        for t in 0..self.tasks {
-            new_cost.extend_from_slice(&self.cost[t * m..(t + 1) * m]);
-            new_cost.push(cost[t]);
-            new_time.extend_from_slice(&self.time[t * m..(t + 1) * m]);
-            new_time.push(time[t]);
-        }
-        self.cost = new_cost;
-        self.time = new_time;
         let id = m;
         self.gsps.push(Gsp::new(id, speed_gflops));
         self.epoch += 1;
@@ -464,23 +467,13 @@ impl GspRegistry {
         if let Some(held) = self.market.holder_of(id) {
             return Err(ServiceError::Leased { id, lease: held.id });
         }
-        let m = self.gsps.len();
         let (trust, survivors) = self.trust.remove_node(id)?;
+        let instance = self.instance.restrict_gsps(&survivors).map_err(CoreError::from)?;
         self.trust = trust;
+        self.instance = Arc::new(instance);
         if let Some(ledger) = &mut self.beta {
             ledger.remove(id)?;
         }
-        let keep = |row: &[f64]| -> Vec<f64> {
-            row.iter().enumerate().filter(|&(g, _)| g != id).map(|(_, &v)| v).collect()
-        };
-        let mut new_cost = Vec::with_capacity(self.tasks * (m - 1));
-        let mut new_time = Vec::with_capacity(self.tasks * (m - 1));
-        for t in 0..self.tasks {
-            new_cost.extend(keep(&self.cost[t * m..(t + 1) * m]));
-            new_time.extend(keep(&self.time[t * m..(t + 1) * m]));
-        }
-        self.cost = new_cost;
-        self.time = new_time;
         // Reassign compacted ids and carry the survivors' scores as
         // the next refresh's warm start.
         let prev = std::mem::take(&mut self.reputation);
@@ -628,19 +621,12 @@ impl GspRegistry {
     }
 
     /// Materialize the current pool as an immutable scenario — what a
-    /// formation / execution request actually runs against. Cheap
-    /// relative to a solve (one matrix clone).
+    /// formation / execution request actually runs against. It shares
+    /// the registry's instance (no matrix copy); only the GSP list and
+    /// the `m × m` effective trust graph are built fresh.
     pub fn scenario(&self) -> Result<FormationScenario> {
-        let inst = AssignmentInstance::new(
-            self.tasks,
-            self.gsps.len(),
-            self.cost.clone(),
-            self.time.clone(),
-            self.deadline,
-            self.payment,
-        )
-        .map_err(gridvo_core::CoreError::from)?;
-        Ok(FormationScenario::new(self.gsps.clone(), self.effective_trust()?, inst)?)
+        let trust = self.effective_trust()?;
+        Ok(FormationScenario::from_shared(self.gsps.clone(), trust, Arc::clone(&self.instance))?)
     }
 
     /// A serializable view for `registry` requests.
@@ -648,7 +634,7 @@ impl GspRegistry {
         RegistrySnapshot {
             epoch: self.epoch,
             gsps: self.gsps.len(),
-            tasks: self.tasks,
+            tasks: self.instance.tasks(),
             reputation: self.reputation.clone(),
             power_iterations: self.power_iterations,
             events: self.epoch as usize,
@@ -744,6 +730,26 @@ mod tests {
         assert!(reg.add_gsp(90.0, &[1.0, 1.0, f64::NAN, 1.0], &[1.0; 4]).is_err());
         assert!(reg.add_gsp(-5.0, &[1.0; 4], &[1.0; 4]).is_err());
         assert_eq!(reg.epoch(), 0);
+    }
+
+    #[test]
+    fn a_join_past_the_task_count_changes_nothing() {
+        let mut reg = registry();
+        reg.report_receipt(&ExecutionReceipt::new(0, 1, true, 5.0, vec![0, 2])).unwrap();
+        reg.add_gsp(90.0, &[2.0; 4], &[1.5; 4]).unwrap();
+        let before = serde_json::to_string(&reg.persisted_state().unwrap()).unwrap();
+        let last = reg.last_event().cloned();
+        let refused = reg.add_gsp(70.0, &[2.0; 4], &[1.5; 4]);
+        assert!(matches!(
+            refused,
+            Err(ServiceError::Core(CoreError::Solver(gridvo_solver::SolverError::TooFewTasks {
+                tasks: 4,
+                gsps: 5
+            })))
+        ));
+        let after = serde_json::to_string(&reg.persisted_state().unwrap()).unwrap();
+        assert_eq!(after, before, "trust, Beta evidence, GSPs and epoch must not move");
+        assert_eq!(reg.last_event().cloned(), last, "nothing new to journal");
     }
 
     #[test]

@@ -9,7 +9,12 @@
 //!   `Arc<EpochSnapshot>` — an immutable, epoch-stamped image of the
 //!   pool (the materialized [`FormationScenario`] plus the
 //!   serializable [`RegistrySnapshot`] view) built once per mutation
-//!   and swapped in behind an `RwLock<Arc<…>>`. A reader takes the
+//!   and swapped in behind an `RwLock<Arc<…>>`. The scenario's
+//!   `tasks × m` instance is shared, not copied: it is one
+//!   `Arc<AssignmentInstance>` that only `add_gsp` / `remove_gsp`
+//!   replace, so a trust report, receipt or lease change rebuilds just
+//!   the GSP list, the `m × m` effective trust graph, the registry
+//!   view, the free set and the leases. A reader takes the
 //!   read lock only long enough to clone the `Arc`; formations,
 //!   registry dumps and batch requests then run against their pinned
 //!   snapshot for as long as they like without blocking a single
@@ -176,9 +181,11 @@ impl ShardedRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridvo_core::Gsp;
-    use gridvo_solver::AssignmentInstance;
+    use gridvo_core::{CoreError, ExecutionReceipt, Gsp};
+    use gridvo_solver::{AssignmentInstance, SolverError};
     use gridvo_trust::TrustGraph;
+
+    use crate::ServiceError;
 
     fn scenario() -> FormationScenario {
         let gsps = vec![Gsp::new(0, 100.0), Gsp::new(1, 80.0), Gsp::new(2, 60.0)];
@@ -248,5 +255,106 @@ mod tests {
         all.sort_unstable();
         assert_eq!(all, (1..=32).collect::<Vec<u64>>(), "epochs are a gapless total order");
         assert_eq!(reg.snapshot().epoch, 32);
+    }
+
+    /// Whether two snapshots point at the same shared instance (the
+    /// referents of one `Arc` share an address).
+    fn shares_instance(a: &EpochSnapshot, b: &EpochSnapshot) -> bool {
+        std::ptr::eq(a.scenario.instance(), b.scenario.instance())
+    }
+
+    #[test]
+    fn snapshots_share_the_instance_until_membership_changes() {
+        let reg = open(2);
+        let base = reg.snapshot();
+        let mut published = Vec::new();
+        reg.mutate(Touched::Ids(&[0, 1]), |r| r.report_trust(0, 1, 0.9)).unwrap();
+        published.push(reg.snapshot());
+        let receipt = ExecutionReceipt::new(0, 1, true, 5.0, vec![0, 2]);
+        reg.mutate(Touched::Ids(&[0, 1, 2]), |r| r.report_receipt(&receipt)).unwrap();
+        published.push(reg.snapshot());
+        let (lease, _) = reg.mutate(Touched::All, |r| r.acquire_lease("a", &[2])).unwrap();
+        published.push(reg.snapshot());
+        reg.mutate(Touched::All, |r| r.release_lease(lease, "complete")).unwrap();
+        published.push(reg.snapshot());
+        for (k, snap) in published.iter().enumerate() {
+            assert_eq!(snap.epoch, k as u64 + 1, "every mutation publishes");
+            assert!(shares_instance(&base, snap), "epoch {} copied the instance", snap.epoch);
+        }
+
+        // A join builds a new instance with the new column last.
+        let before = reg.snapshot();
+        reg.mutate(Touched::All, |r| r.add_gsp(90.0, &[2.0, 3.0, 4.0, 5.0], &[1.5; 4])).unwrap();
+        let joined = reg.snapshot();
+        assert!(!shares_instance(&before, &joined));
+        let inst = joined.scenario.instance();
+        assert_eq!((inst.tasks(), inst.gsps()), (4, 4));
+        assert_eq!((0..4).map(|t| inst.cost(t, 3)).collect::<Vec<_>>(), vec![2.0, 3.0, 4.0, 5.0]);
+        assert_eq!(inst.cost_row(0)[..3], before.scenario.instance().cost_row(0)[..]);
+
+        // A leave drops exactly that column.
+        reg.mutate(Touched::All, |r| r.remove_gsp(0)).unwrap();
+        let left = reg.snapshot();
+        assert!(!shares_instance(&joined, &left));
+        let inst = left.scenario.instance();
+        assert_eq!((inst.tasks(), inst.gsps()), (4, 3));
+        for t in 0..4 {
+            assert_eq!(inst.cost_row(t), &joined.scenario.instance().cost_row(t)[1..]);
+            assert_eq!(inst.time_row(t), &joined.scenario.instance().time_row(t)[1..]);
+        }
+    }
+
+    /// The pool is 4 tasks × 3 GSPs: one join fits, a second would
+    /// leave 4 tasks for 5 GSPs.
+    fn join(reg: &ShardedRegistry) -> Result<(usize, u64)> {
+        reg.mutate(Touched::All, |r| r.add_gsp(90.0, &[2.0; 4], &[1.5; 4]))
+    }
+
+    fn is_too_few_tasks(result: Result<(usize, u64)>) -> bool {
+        matches!(
+            result,
+            Err(ServiceError::Core(CoreError::Solver(SolverError::TooFewTasks {
+                tasks: 4,
+                gsps: 5
+            })))
+        )
+    }
+
+    #[test]
+    fn a_join_that_outgrows_the_program_is_refused_untouched() {
+        let reg = open(2);
+        assert_eq!(join(&reg).unwrap(), (3, 1));
+        let before = reg.snapshot();
+        assert!(is_too_few_tasks(join(&reg)));
+        let after = reg.snapshot();
+        assert_eq!(after.epoch, 1, "a refused join publishes nothing");
+        assert!(Arc::ptr_eq(&before, &after));
+        assert_eq!(after.scenario.gsp_count(), 4);
+        // The daemon keeps serving: the next trust report publishes.
+        assert_eq!(reg.mutate(Touched::Ids(&[0, 3]), |r| r.report_trust(0, 3, 0.8)).unwrap(), 2);
+        assert_eq!(reg.snapshot().epoch, 2);
+    }
+
+    #[test]
+    fn a_refused_join_is_not_journaled_and_the_pool_reopens() {
+        let dir =
+            std::env::temp_dir().join(format!("gridvo-shard-refused-join-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = PersistConfig::new(&dir);
+        let engine = ReputationEngine::default;
+        let (reg, _) = ShardedRegistry::open(&scenario(), engine(), 2, Some(&config)).unwrap();
+        join(&reg).unwrap();
+        assert!(is_too_few_tasks(join(&reg)));
+        reg.mutate(Touched::Ids(&[0, 3]), |r| r.report_trust(0, 3, 0.8)).unwrap();
+        let want = reg.snapshot();
+        drop(reg);
+
+        let (reopened, recovered) =
+            ShardedRegistry::open(&scenario(), engine(), 2, Some(&config)).unwrap();
+        assert_eq!(recovered, Some(2));
+        let got = reopened.snapshot();
+        assert_eq!(got.view, want.view);
+        assert_eq!(got.scenario.instance(), want.scenario.instance());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
