@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gridvo_sim::instance_gen::ScenarioGenerator;
 use gridvo_sim::runner::seeded_rng;
 use gridvo_sim::TableI;
-use gridvo_solver::branch_bound::BranchBound;
+use gridvo_solver::branch_bound::{BranchBound, Budget};
 use gridvo_solver::heuristics::{self, Heuristic};
 use gridvo_solver::parallel::ParallelBranchBound;
 use gridvo_solver::AssignmentInstance;
@@ -25,12 +25,12 @@ fn bench_exact(c: &mut Criterion) {
         let inst = instance(tasks);
         group.bench_with_input(BenchmarkId::new("sequential", tasks), &inst, |b, inst| {
             let bb = BranchBound { max_nodes: 2_000_000, seed_incumbent: true };
-            b.iter(|| bb.solve(inst));
+            b.iter(|| bb.solve(inst, None, &Budget::unlimited()));
         });
         group.bench_with_input(BenchmarkId::new("parallel", tasks), &inst, |b, inst| {
             let pbb =
                 ParallelBranchBound { max_nodes_per_subtree: 2_000_000, ..Default::default() };
-            b.iter(|| pbb.solve(inst));
+            b.iter(|| pbb.solve(inst, None, &Budget::unlimited()));
         });
     }
     group.finish();

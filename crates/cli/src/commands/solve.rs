@@ -5,19 +5,19 @@ use crate::commands::load_scenario;
 use gridvo_solver::branch_bound::{BranchBound, Budget, SolveStatus};
 use gridvo_solver::heuristics::{self, Heuristic};
 use gridvo_solver::parallel::ParallelBranchBound;
-use gridvo_solver::portfolio::Portfolio;
+use gridvo_solver::Assignment;
 use std::time::{Duration, Instant};
 
 const HELP: &str = "\
 usage: gridvo solve --scenario FILE [--members 0,2,5]
-                    [--solver exact|parallel|portfolio|greedy|min-min|max-min|sufferage]
+                    [--solver exact|parallel|greedy|min-min|max-min|sufferage]
                     [--deadline-ms MS] [--max-nodes N]
 
 Solves the task-assignment IP for the given VO (default: all GSPs),
 printing the status, optimal cost, per-GSP loads and task counts.
---deadline-ms and --max-nodes bound the solve (exact, parallel and
-portfolio solvers); a truncated solve prints its best anytime
-incumbent plus the relative optimality gap.";
+--deadline-ms and --max-nodes bound the solve (exact and parallel
+solvers); a truncated solve prints its best anytime incumbent plus
+the relative optimality gap.";
 
 pub fn run(argv: &[String]) -> Result<(), String> {
     let flags =
@@ -44,59 +44,10 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             n => n,
         },
     };
-    let report_status = |status: SolveStatus| match status {
-        SolveStatus::Optimal(o) => {
-            println!(
-                "status: OPTIMAL (proven, {} nodes, incumbent: {})",
-                o.nodes,
-                o.incumbent_source.as_str()
-            );
-            Some((o.assignment, o.cost))
-        }
-        SolveStatus::Feasible(o) => {
-            println!(
-                "status: FEASIBLE ({}, {} nodes, incumbent: {}, gap {})",
-                if o.deadline_hit { "deadline-truncated" } else { "budget-truncated" },
-                o.nodes,
-                o.incumbent_source.as_str(),
-                o.gap.map_or("unknown".to_string(), |g| format!("{:.2}%", g * 100.0)),
-            );
-            Some((o.assignment, o.cost))
-        }
-        SolveStatus::Infeasible { nodes } => {
-            println!("status: INFEASIBLE (proven, {nodes} nodes)");
-            None
-        }
-        SolveStatus::Unknown { nodes } => {
-            println!("status: UNKNOWN (budget exhausted, {nodes} nodes)");
-            None
-        }
-    };
     let solver_name = flags.get("solver").unwrap_or("exact");
     let solved = match solver_name {
-        "exact" => {
-            report_status(BranchBound::default().solve_status_with_budget(&inst, None, &budget))
-        }
-        "portfolio" => {
-            report_status(Portfolio::default().solve_status_with_budget(&inst, None, &budget))
-        }
-        "parallel" => {
-            match ParallelBranchBound::default().solve_status_with_budget(&inst, None, &budget) {
-                SolveStatus::Optimal(o) | SolveStatus::Feasible(o) => {
-                    println!(
-                        "status: {} ({} nodes, incumbent: {})",
-                        if o.optimal { "OPTIMAL" } else { "FEASIBLE" },
-                        o.nodes,
-                        o.incumbent_source.as_str()
-                    );
-                    Some((o.assignment, o.cost))
-                }
-                SolveStatus::Infeasible { nodes } | SolveStatus::Unknown { nodes } => {
-                    println!("status: no feasible assignment found ({nodes} nodes)");
-                    None
-                }
-            }
-        }
+        "exact" => report_status(BranchBound::default().solve(&inst, None, &budget)),
+        "parallel" => report_status(ParallelBranchBound::default().solve(&inst, None, &budget)),
         name => {
             let kind = match name {
                 "greedy" => Heuristic::GreedyCost,
@@ -129,4 +80,37 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         println!("{g:>3}  {:>5}  {:>8.1}", counts[i], loads[i]);
     }
     Ok(())
+}
+
+/// Print the status line of an exact or parallel solve and return its
+/// assignment, if it found one.
+fn report_status(status: SolveStatus) -> Option<(Assignment, f64)> {
+    match status {
+        SolveStatus::Optimal(o) => {
+            println!(
+                "status: OPTIMAL (proven, {} nodes, incumbent: {})",
+                o.nodes,
+                o.incumbent_source.as_str()
+            );
+            Some((o.assignment, o.cost))
+        }
+        SolveStatus::Feasible(o) => {
+            println!(
+                "status: FEASIBLE ({}, {} nodes, incumbent: {}, gap {})",
+                if o.deadline_hit { "deadline-truncated" } else { "budget-truncated" },
+                o.nodes,
+                o.incumbent_source.as_str(),
+                o.gap.map_or("unknown".to_string(), |g| format!("{:.2}%", g * 100.0)),
+            );
+            Some((o.assignment, o.cost))
+        }
+        SolveStatus::Infeasible { nodes } => {
+            println!("status: INFEASIBLE (proven, {nodes} nodes)");
+            None
+        }
+        SolveStatus::Unknown { nodes } => {
+            println!("status: UNKNOWN (budget exhausted, {nodes} nodes)");
+            None
+        }
+    }
 }

@@ -80,6 +80,45 @@ fn full_workflow_scenario_form_solve_game() {
 }
 
 #[test]
+fn capped_exact_and_parallel_solves_report_truncation_and_gap() {
+    let dir = tmpdir("capped");
+    let scenario = dir.join("scenario.json");
+    run_ok(gridvo().args([
+        "generate",
+        "scenario",
+        "--out",
+        scenario.to_str().unwrap(),
+        "--tasks",
+        "128",
+        "--gsps",
+        "64",
+        "--seed",
+        "1",
+    ]));
+    for solver in ["exact", "parallel"] {
+        let out = run_ok(gridvo().args([
+            "solve",
+            "--scenario",
+            scenario.to_str().unwrap(),
+            "--solver",
+            solver,
+            "--max-nodes",
+            "1",
+        ]));
+        let status = out.lines().find(|l| l.starts_with("status:")).expect("a status line");
+        assert!(status.starts_with("status: FEASIBLE (budget-truncated, "), "{solver}: {status}");
+        let gap = status
+            .split(", gap ")
+            .nth(1)
+            .and_then(|g| g.strip_suffix("%)"))
+            .and_then(|g| g.parse::<f64>().ok())
+            .unwrap_or_else(|| panic!("{solver}: no numeric gap in {status:?}"));
+        assert!((0.0..=100.0).contains(&gap), "{solver}: gap {gap}% out of range");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn trace_generation_and_stats() {
     let dir = tmpdir("trace");
     let trace = dir.join("atlas.swf");

@@ -27,7 +27,7 @@ use crate::mechanism::Mechanism;
 use crate::scenario::FormationScenario;
 use crate::vo::VoRecord;
 use crate::{CoreError, FormationOutcome, Result};
-use gridvo_solver::{repair, Assignment, AssignmentInstance};
+use gridvo_solver::{repair, Assignment, AssignmentInstance, Budget};
 use rand::Rng;
 use serde::{de_field, Deserialize, Error, Serialize, Value};
 use std::time::Instant;
@@ -547,7 +547,7 @@ impl Mechanism {
                             (RecoveryKind::Absorbed, 0)
                         } else {
                             // Re-solve over the same members first …
-                            let report = self.solve_instance(&inst, None);
+                            let report = self.solve_instance(&inst, None, &Budget::unlimited());
                             resolve_nodes += report.nodes;
                             match report.solved {
                                 Some((a, c, _)) => {
@@ -618,7 +618,8 @@ impl Mechanism {
                                 None => {
                                     // Transient fault: a full re-solve
                                     // may re-trust the dropper.
-                                    let report = self.solve_instance(&inst, None);
+                                    let report =
+                                        self.solve_instance(&inst, None, &Budget::unlimited());
                                     resolve_nodes += report.nodes;
                                     match report.solved {
                                         Some((a, c, _)) => {
@@ -740,7 +741,7 @@ impl Mechanism {
             let c = a.total_cost(inst);
             return EvictOutcome::Repaired(a, c);
         }
-        let report = self.solve_instance(inst, None);
+        let report = self.solve_instance(inst, None, &Budget::unlimited());
         match report.solved {
             Some((a, c, _)) => EvictOutcome::Resolved(a, c, report.nodes),
             None => EvictOutcome::Infeasible(report.nodes),

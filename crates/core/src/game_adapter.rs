@@ -9,7 +9,7 @@
 use crate::scenario::FormationScenario;
 use gridvo_game::characteristic::{FnGame, MemoCharacteristic};
 use gridvo_game::Coalition;
-use gridvo_solver::branch_bound::BranchBound;
+use gridvo_solver::branch_bound::{BranchBound, Budget};
 
 /// The VO-formation game of eq. (15) over a scenario's GSPs.
 ///
@@ -26,7 +26,10 @@ pub fn vo_game(scenario: &FormationScenario, solver: BranchBound) -> VoGame<'_> 
             return 0.0;
         }
         let members = c.to_vec();
-        match scenario.instance_for(&members).and_then(|inst| solver.solve(&inst)) {
+        match scenario
+            .instance_for(&members)
+            .and_then(|inst| solver.solve(&inst, None, &Budget::unlimited()).outcome())
+        {
             Some(o) => (payment - o.cost).max(0.0),
             None => 0.0,
         }
@@ -71,7 +74,9 @@ mod tests {
             let members = c.to_vec();
             let direct = s
                 .instance_for(&members)
-                .and_then(|i| BranchBound::default().solve(&i))
+                .and_then(|i| {
+                    BranchBound::default().solve(&i, None, &Budget::unlimited()).outcome()
+                })
                 .map(|o| (s.payment() - o.cost).max(0.0))
                 .unwrap_or(0.0);
             assert!((game.value(c) - direct).abs() < 1e-9, "mismatch at {c}");

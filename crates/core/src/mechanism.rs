@@ -19,7 +19,6 @@ use crate::{CoreError, Result};
 use gridvo_solver::branch_bound::{BranchBound, Budget, SolveStatus};
 use gridvo_solver::heuristics::{self, Heuristic};
 use gridvo_solver::parallel::ParallelBranchBound;
-use gridvo_solver::portfolio::Portfolio;
 use gridvo_solver::{repair, AssignmentInstance};
 use rand::Rng;
 use std::time::Instant;
@@ -59,10 +58,6 @@ pub enum SolverChoice {
     ExactParallel(ParallelBranchBound),
     /// A fast inexact heuristic (participation-repaired).
     Heuristic(Heuristic),
-    /// Racing portfolio: heuristics seed, exact search refines, all
-    /// under the run's anytime [`Budget`]. Identical to `Exact` when
-    /// the budget is unlimited.
-    Portfolio(Portfolio),
 }
 
 impl Default for SolverChoice {
@@ -311,7 +306,7 @@ impl Mechanism {
         if let Some(hit) = cache.lookup(key) {
             return hit;
         }
-        let report = self.solve_instance_with_budget(&inst, warm.as_ref(), budget);
+        let report = self.solve_instance(&inst, warm.as_ref(), budget);
         // Without a deadline every result (including node-cap
         // truncation and Unknown) is a deterministic function of the
         // key. With one armed, anything short of a proven optimum —
@@ -324,51 +319,36 @@ impl Mechanism {
         report
     }
 
-    /// Solve one assignment instance with the configured solver,
-    /// optionally seeded with a warm incumbent. Also the re-solve
-    /// primitive of the fault-recovery path ([`crate::execution`]).
+    /// Solve one assignment instance with the configured solver under
+    /// `budget`, optionally seeded with a warm incumbent. Also the
+    /// re-solve primitive of the fault-recovery path
+    /// ([`crate::execution`]).
     pub(crate) fn solve_instance(
-        &self,
-        inst: &AssignmentInstance,
-        warm: Option<&gridvo_solver::Assignment>,
-    ) -> CachedSolve {
-        self.solve_instance_with_budget(inst, warm, &Budget::unlimited())
-    }
-
-    /// [`Mechanism::solve_instance`] under an anytime budget.
-    pub(crate) fn solve_instance_with_budget(
         &self,
         inst: &AssignmentInstance,
         warm: Option<&gridvo_solver::Assignment>,
         budget: &Budget,
     ) -> CachedSolve {
-        let from_status = |status: SolveStatus| -> CachedSolve {
-            match status {
-                SolveStatus::Optimal(o) | SolveStatus::Feasible(o) => CachedSolve {
-                    nodes: o.nodes,
-                    incumbent_source: Some(o.incumbent_source.as_str().to_string()),
-                    gap: o.gap,
-                    solved: Some((o.assignment, o.cost, o.optimal)),
-                },
-                SolveStatus::Infeasible { nodes } | SolveStatus::Unknown { nodes } => {
-                    CachedSolve { solved: None, nodes, incumbent_source: None, gap: None }
-                }
-            }
-        };
-        match self.config.solver {
-            SolverChoice::Exact(bb) => from_status(bb.solve_status_with_budget(inst, warm, budget)),
-            SolverChoice::ExactParallel(pbb) => {
-                from_status(pbb.solve_status_with_budget(inst, warm, budget))
-            }
-            SolverChoice::Portfolio(p) => {
-                from_status(p.solve_status_with_budget(inst, warm, budget))
-            }
+        let status = match self.config.solver {
+            SolverChoice::Exact(bb) => bb.solve(inst, warm, budget),
+            SolverChoice::ExactParallel(pbb) => pbb.solve(inst, warm, budget),
             SolverChoice::Heuristic(kind) => {
                 let solved = heuristics::run(kind, inst).map(|a| {
                     let cost = a.total_cost(inst);
                     (a, cost, false)
                 });
-                CachedSolve { solved, nodes: 0, incumbent_source: None, gap: None }
+                return CachedSolve { solved, nodes: 0, incumbent_source: None, gap: None };
+            }
+        };
+        match status {
+            SolveStatus::Optimal(o) | SolveStatus::Feasible(o) => CachedSolve {
+                nodes: o.nodes,
+                incumbent_source: Some(o.incumbent_source.as_str().to_string()),
+                gap: o.gap,
+                solved: Some((o.assignment, o.cost, o.optimal)),
+            },
+            SolveStatus::Infeasible { nodes } | SolveStatus::Unknown { nodes } => {
+                CachedSolve { solved: None, nodes, incumbent_source: None, gap: None }
             }
         }
     }

@@ -18,7 +18,7 @@ use crate::reputation::ReputationEngine;
 use crate::scenario::FormationScenario;
 use crate::vo::{FormationOutcome, VoRecord};
 use crate::Result;
-use gridvo_solver::branch_bound::BranchBound;
+use gridvo_solver::branch_bound::{BranchBound, Budget};
 
 /// Verdict of the Theorem-1 audit on one VO.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,7 +67,7 @@ pub fn audit_individual_stability(
         let reduced_rep = engine.compute(scenario.trust(), &reduced)?.average;
         let reduced_payoff = scenario
             .instance_for(&reduced)
-            .and_then(|inst| solver.solve(&inst))
+            .and_then(|inst| solver.solve(&inst, None, &Budget::unlimited()).outcome())
             .map(|o| (scenario.payment() - o.cost).max(0.0) / reduced.len() as f64);
 
         // Departing member: alone it earns nothing (a single GSP is

@@ -65,12 +65,6 @@ impl Budget {
         Budget { deadline: Some(deadline), max_nodes: u64::MAX }
     }
 
-    /// True when neither limit is set — the regime in which budgeted
-    /// entry points are bit-identical to the plain exact solve.
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.max_nodes == u64::MAX
-    }
-
     /// True when the wall-clock deadline has already passed.
     pub fn expired(&self) -> bool {
         self.deadline.is_some_and(|d| Instant::now() >= d)
@@ -91,9 +85,9 @@ pub struct BranchBound {
     /// large enough that every instance in the paper's parameter range
     /// solves to proven optimality.
     pub max_nodes: u64,
-    /// Seed the incumbent with the heuristic portfolio before the
-    /// search (strongly recommended; disable only to measure its
-    /// effect in ablations).
+    /// Start the search from the heuristic seed
+    /// ([`heuristics::seed_incumbent`]; strongly recommended, disable
+    /// only to measure its effect in ablations).
     pub seed_incumbent: bool,
 }
 
@@ -110,7 +104,7 @@ pub enum IncumbentSource {
     /// No incumbent was ever installed (unreachable in a feasible
     /// outcome; the initial value before seeding).
     None,
-    /// The heuristic-portfolio seed survived the whole search.
+    /// The heuristic seed survived the whole search.
     Heuristic,
     /// A warm-start incumbent (e.g. the previous eviction round's
     /// repaired optimum) survived the whole search.
@@ -185,59 +179,33 @@ pub enum SolveStatus {
     },
 }
 
+impl SolveStatus {
+    /// The assignment found, proven optimal or not; `None` when the
+    /// search found nothing (proven [`SolveStatus::Infeasible`] or
+    /// budget-[`SolveStatus::Unknown`]).
+    pub fn outcome(self) -> Option<SolveOutcome> {
+        match self {
+            SolveStatus::Optimal(o) | SolveStatus::Feasible(o) => Some(o),
+            SolveStatus::Infeasible { .. } | SolveStatus::Unknown { .. } => None,
+        }
+    }
+}
+
 impl BranchBound {
-    /// Solve, returning the best assignment if one was found.
-    /// `None` means no feasible solution was found — with the default
-    /// (effectively unlimited) budget this is a proof of infeasibility.
-    pub fn solve(&self, inst: &AssignmentInstance) -> Option<SolveOutcome> {
-        match self.solve_status(inst) {
-            SolveStatus::Optimal(o) | SolveStatus::Feasible(o) => Some(o),
-            SolveStatus::Infeasible { .. } | SolveStatus::Unknown { .. } => None,
-        }
-    }
-
-    /// Solve with full status reporting.
-    pub fn solve_status(&self, inst: &AssignmentInstance) -> SolveStatus {
-        self.solve_status_with_incumbent(inst, None)
-    }
-
-    /// Like [`BranchBound::solve`], additionally seeding the search
-    /// with a caller-supplied warm incumbent (e.g. the previous
-    /// eviction round's repaired optimum). An infeasible or
-    /// wrong-shaped warm assignment is silently ignored, so callers can
-    /// pass whatever the repair produced without pre-validating.
-    pub fn solve_with_incumbent(
-        &self,
-        inst: &AssignmentInstance,
-        warm: Option<&Assignment>,
-    ) -> Option<SolveOutcome> {
-        match self.solve_status_with_incumbent(inst, warm) {
-            SolveStatus::Optimal(o) | SolveStatus::Feasible(o) => Some(o),
-            SolveStatus::Infeasible { .. } | SolveStatus::Unknown { .. } => None,
-        }
-    }
-
-    /// Full-status variant of [`BranchBound::solve_with_incumbent`].
+    /// Solve under `budget`, optionally seeded with a caller-supplied
+    /// warm incumbent (e.g. the previous eviction round's repaired
+    /// optimum). An infeasible or wrong-shaped warm assignment is
+    /// silently ignored, so callers can pass whatever the repair
+    /// produced without pre-validating.
     ///
-    /// The warm incumbent only tightens the initial upper bound of an
-    /// exact search, so the returned *cost* is identical to a cold
-    /// solve; only the node count (and possibly which of several
+    /// The search stops at `budget.deadline` / after `budget.max_nodes`
+    /// nodes (combined with the solver's own `max_nodes`), returning
+    /// the best incumbent found so far with an optimality gap. The
+    /// warm incumbent only tightens the initial upper bound, so the
+    /// returned *cost* of an untruncated solve is identical to a cold
+    /// one; only the node count (and possibly which of several
     /// cost-tied optimal assignments is returned) can differ.
-    pub fn solve_status_with_incumbent(
-        &self,
-        inst: &AssignmentInstance,
-        warm: Option<&Assignment>,
-    ) -> SolveStatus {
-        self.solve_status_with_budget(inst, warm, &Budget::unlimited())
-    }
-
-    /// Budgeted variant of [`BranchBound::solve_status_with_incumbent`]:
-    /// the search additionally stops at `budget.deadline` / after
-    /// `budget.max_nodes` nodes, returning the best incumbent found so
-    /// far with an optimality gap. With [`Budget::unlimited`] this is
-    /// the same code path as the plain exact solve — outputs are
-    /// bit-identical.
-    pub fn solve_status_with_budget(
+    pub fn solve(
         &self,
         inst: &AssignmentInstance,
         warm: Option<&Assignment>,
@@ -252,27 +220,7 @@ impl BranchBound {
         if root_bound > inst.payment() + COST_EPS {
             return SolveStatus::Infeasible { nodes: 0 };
         }
-        // Candidate incumbents: the warm start (validated against the
-        // full constraint set) and the heuristic portfolio. Install the
-        // cheaper of the two; the warm one wins only when strictly
-        // better, so a tie keeps the cold-run labeling.
-        let warm_seed =
-            warm.filter(|a| a.is_feasible(inst)).map(|a| (a.clone(), a.total_cost(inst)));
-        let heur_seed = if self.seed_incumbent {
-            heuristics::seed_incumbent(inst).map(|a| {
-                let cost = a.total_cost(inst);
-                (a, cost)
-            })
-        } else {
-            None
-        };
-        let seed = match (warm_seed, heur_seed) {
-            (Some((wa, wc)), Some((_, hc))) if wc < hc => Some((wa, wc, IncumbentSource::Warm)),
-            (Some(_), Some((ha, hc))) => Some((ha, hc, IncumbentSource::Heuristic)),
-            (Some((wa, wc)), None) => Some((wa, wc, IncumbentSource::Warm)),
-            (None, Some((ha, hc))) => Some((ha, hc, IncumbentSource::Heuristic)),
-            (None, None) => None,
-        };
+        let seed = starting_incumbent(inst, warm, self.seed_incumbent);
         let tables = BoundTables::new(inst);
         let mut search = Searcher::new(inst, &tables, self.max_nodes.min(budget.max_nodes), None);
         search.set_deadline(budget.deadline);
@@ -300,6 +248,28 @@ impl BranchBound {
             search.dfs(0);
         }
         search.into_status()
+    }
+}
+
+/// The incumbent an exact search starts from: the warm assignment
+/// (validated against the full constraint set) or the heuristic seed
+/// (when `heuristic` is set), whichever is cheaper. The warm one wins
+/// only when strictly cheaper, so a tie keeps the cold-run labeling.
+pub(crate) fn starting_incumbent(
+    inst: &AssignmentInstance,
+    warm: Option<&Assignment>,
+    heuristic: bool,
+) -> Option<(Assignment, f64, IncumbentSource)> {
+    let warm = warm.filter(|a| a.is_feasible(inst)).map(|a| (a.clone(), a.total_cost(inst)));
+    let heur = heuristic.then(|| heuristics::seed_incumbent(inst)).flatten().map(|a| {
+        let cost = a.total_cost(inst);
+        (a, cost)
+    });
+    match (warm, heur) {
+        (Some((wa, wc)), Some((_, hc))) if wc < hc => Some((wa, wc, IncumbentSource::Warm)),
+        (_, Some((ha, hc))) => Some((ha, hc, IncumbentSource::Heuristic)),
+        (Some((wa, wc)), None) => Some((wa, wc, IncumbentSource::Warm)),
+        (None, None) => None,
     }
 }
 
@@ -655,6 +625,10 @@ impl<'a> Searcher<'a> {
 mod tests {
     use super::*;
 
+    fn solve(bb: BranchBound, inst: &AssignmentInstance) -> Option<SolveOutcome> {
+        bb.solve(inst, None, &Budget::unlimited()).outcome()
+    }
+
     fn inst(
         tasks: usize,
         gsps: usize,
@@ -671,7 +645,7 @@ mod tests {
         // loose deadline and payment: optimum = min cost per task,
         // subject to both GSPs being used.
         let i = inst(3, 2, vec![1.0, 4.0, 2.0, 1.0, 3.0, 2.0], vec![1.0; 6], 100.0, 100.0);
-        let o = BranchBound::default().solve(&i).unwrap();
+        let o = solve(BranchBound::default(), &i).unwrap();
         assert!(o.optimal);
         assert_eq!(o.cost, 4.0); // 0→G0 (1), 1→G1 (1), 2→G1 (2)
         o.assignment.check_feasible(&i).unwrap();
@@ -681,7 +655,7 @@ mod tests {
     fn deadline_forces_costlier_split() {
         // Cheapest GSP can only hold one task by time.
         let i = inst(2, 2, vec![1.0, 10.0, 1.0, 10.0], vec![5.0, 1.0, 5.0, 1.0], 6.0, 100.0);
-        let o = BranchBound::default().solve(&i).unwrap();
+        let o = solve(BranchBound::default(), &i).unwrap();
         // one task on each GSP: cost 1 + 10 = 11
         assert_eq!(o.cost, 11.0);
         assert!(o.optimal);
@@ -690,7 +664,7 @@ mod tests {
     #[test]
     fn payment_cap_proves_infeasible() {
         let i = inst(2, 2, vec![10.0; 4], vec![1.0; 4], 10.0, 5.0);
-        match BranchBound::default().solve_status(&i) {
+        match BranchBound::default().solve(&i, None, &Budget::unlimited()) {
             SolveStatus::Infeasible { .. } => {}
             other => panic!("expected infeasible, got {other:?}"),
         }
@@ -699,13 +673,13 @@ mod tests {
     #[test]
     fn deadline_proves_infeasible() {
         let i = inst(3, 2, vec![1.0; 6], vec![10.0; 6], 5.0, 100.0);
-        assert!(BranchBound::default().solve(&i).is_none());
+        assert!(solve(BranchBound::default(), &i).is_none());
     }
 
     #[test]
     fn solution_exactly_at_payment_is_accepted() {
         let i = inst(2, 2, vec![3.0, 3.0, 3.0, 3.0], vec![1.0; 4], 10.0, 6.0);
-        let o = BranchBound::default().solve(&i).expect("cost 6 == payment 6 is feasible");
+        let o = solve(BranchBound::default(), &i).expect("cost 6 == payment 6 is feasible");
         assert_eq!(o.cost, 6.0);
     }
 
@@ -715,7 +689,7 @@ mod tests {
         let i =
             inst(4, 2, vec![1.0, 2.0, 2.0, 1.0, 1.5, 1.5, 2.0, 1.0], vec![1.0; 8], 100.0, 100.0);
         let bb = BranchBound { max_nodes: 1, seed_incumbent: false };
-        match bb.solve_status(&i) {
+        match bb.solve(&i, None, &Budget::unlimited()) {
             SolveStatus::Feasible(o) => assert!(!o.optimal),
             SolveStatus::Unknown { .. } => {}
             other => panic!("expected truncation, got {other:?}"),
@@ -738,9 +712,9 @@ mod tests {
             3.0,
             100.0,
         );
-        let with = BranchBound { seed_incumbent: true, ..Default::default() }.solve(&i).unwrap();
+        let with = solve(BranchBound { seed_incumbent: true, ..Default::default() }, &i).unwrap();
         let without =
-            BranchBound { seed_incumbent: false, ..Default::default() }.solve(&i).unwrap();
+            solve(BranchBound { seed_incumbent: false, ..Default::default() }, &i).unwrap();
         assert_eq!(with.cost, without.cost);
         assert!(with.optimal && without.optimal);
     }
@@ -756,7 +730,7 @@ mod tests {
             10.0,
             100.0,
         );
-        let o = BranchBound::default().solve(&i).unwrap();
+        let o = solve(BranchBound::default(), &i).unwrap();
         assert_eq!(o.cost, 52.0);
         assert_eq!(o.assignment.task_counts(&i), vec![1, 1, 1]);
     }
@@ -764,7 +738,7 @@ mod tests {
     #[test]
     fn single_gsp_takes_everything() {
         let i = inst(3, 1, vec![2.0, 3.0, 4.0], vec![1.0, 1.0, 1.0], 3.0, 100.0);
-        let o = BranchBound::default().solve(&i).unwrap();
+        let o = solve(BranchBound::default(), &i).unwrap();
         assert_eq!(o.cost, 9.0);
         assert_eq!(o.assignment.as_slice(), &[0, 0, 0]);
     }
@@ -781,7 +755,7 @@ mod tests {
             10.0,
             100.0,
         );
-        let o = BranchBound::default().solve(&i).unwrap();
+        let o = solve(BranchBound::default(), &i).unwrap();
         assert_eq!(o.cost, 3.0);
         let counts = o.assignment.task_counts(&i);
         assert!(counts.iter().all(|&c| c == 1));
@@ -803,11 +777,14 @@ mod tests {
             3.0,
             100.0,
         );
-        let bb = BranchBound::default();
+        // The budget's node cap combines (min) with the solver's own,
+        // so "unlimited" is exactly the plain configured solve.
+        let bb = BranchBound { max_nodes: 6, ..Default::default() };
+        let own_cap = Budget { deadline: None, max_nodes: bb.max_nodes };
         assert_eq!(
-            bb.solve_status(&i),
-            bb.solve_status_with_budget(&i, None, &Budget::unlimited()),
-            "unlimited budget must be the same code path"
+            bb.solve(&i, None, &Budget::unlimited()),
+            bb.solve(&i, None, &own_cap),
+            "an unlimited budget must add no limit of its own"
         );
     }
 
@@ -817,7 +794,7 @@ mod tests {
         // A deadline in the past: no tree search, but the heuristic
         // seed still yields a feasible anytime answer with a gap.
         let budget = Budget::with_deadline(Instant::now());
-        match BranchBound::default().solve_status_with_budget(&i, None, &budget) {
+        match BranchBound::default().solve(&i, None, &budget) {
             SolveStatus::Feasible(o) => {
                 assert!(!o.optimal);
                 assert!(o.deadline_hit);
@@ -840,7 +817,7 @@ mod tests {
             inst(4, 2, vec![2.0, 3.0, 3.0, 2.0, 2.5, 2.6, 3.0, 2.0], vec![1.0; 8], 100.0, 100.0);
         let (_, opt) = crate::brute::solve(&i).unwrap().expect("feasible");
         let bb = BranchBound { max_nodes: 1, seed_incumbent: true };
-        match bb.solve_status(&i) {
+        match bb.solve(&i, None, &Budget::unlimited()) {
             SolveStatus::Feasible(o) => {
                 let lb = o.lower_bound.unwrap();
                 assert!(lb <= opt + 1e-9, "lower bound {lb} exceeds optimum {opt}");
@@ -855,12 +832,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn moderate_instance_closes_fast() {
-        // 60 tasks × 6 GSPs with structured costs: must finish well
-        // within the default budget.
-        let n = 60;
-        let k = 6;
+    fn structured(n: usize, k: usize, d: f64, p: f64) -> AssignmentInstance {
         let mut cost = Vec::new();
         let mut time = Vec::new();
         for t in 0..n {
@@ -869,8 +841,45 @@ mod tests {
                 time.push(1.0 + ((t * 13 + g * 7) % 5) as f64);
             }
         }
-        let i = inst(n, k, cost, time, 100.0, 1e6);
-        let o = BranchBound::default().solve(&i).unwrap();
+        inst(n, k, cost, time, d, p)
+    }
+
+    #[test]
+    fn node_budget_yields_anytime_incumbent_with_gap() {
+        let i = structured(30, 5, 30.0, 1e6);
+        let budget = Budget { deadline: None, max_nodes: 8 };
+        match BranchBound::default().solve(&i, None, &budget) {
+            SolveStatus::Feasible(o) => {
+                assert!(!o.optimal);
+                assert!(o.gap.is_some_and(|g| (0.0..=1.0).contains(&g)));
+                assert!(o.lower_bound.is_some_and(|lb| lb <= o.cost + 1e-9));
+                o.assignment.check_feasible(&i).unwrap();
+            }
+            SolveStatus::Optimal(o) => {
+                // The seed can prove optimality without any search.
+                assert_eq!(o.nodes, 0);
+            }
+            other => panic!("expected an anytime answer, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn node_budget_results_are_deterministic() {
+        // Node caps (unlike wall-clock deadlines) are reproducible:
+        // two identical capped solves must agree bit for bit.
+        let i = structured(25, 4, 25.0, 1e6);
+        let budget = Budget { deadline: None, max_nodes: 100 };
+        let a = BranchBound::default().solve(&i, None, &budget);
+        let b = BranchBound::default().solve(&i, None, &budget);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn moderate_instance_closes_fast() {
+        // 60 tasks × 6 GSPs with structured costs: must finish well
+        // within the default budget.
+        let i = structured(60, 6, 100.0, 1e6);
+        let o = solve(BranchBound::default(), &i).unwrap();
         assert!(o.optimal);
         o.assignment.check_feasible(&i).unwrap();
     }

@@ -124,7 +124,13 @@ pub fn participation_bound(inst: &crate::instance::AssignmentInstance) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::branch_bound::{BranchBound, Budget};
     use crate::instance::AssignmentInstance;
+
+    /// The exact solver's proven optimum of a feasible instance.
+    fn optimum(inst: &AssignmentInstance) -> f64 {
+        BranchBound::default().solve(inst, None, &Budget::unlimited()).outcome().unwrap().cost
+    }
 
     /// Brute-force oracle: all injective row→column maps.
     fn brute_matching(cost: &[f64], rows: usize, cols: usize) -> f64 {
@@ -251,7 +257,7 @@ mod tests {
         )
         .unwrap();
         let bound = participation_bound(&inst);
-        let opt = crate::branch_bound::BranchBound::default().solve(&inst).unwrap().cost;
+        let opt = optimum(&inst);
         assert!(bound <= opt + 1e-9, "bound {bound} exceeds optimum {opt}");
         // naive bound: Σmin (1+1+5=7) + min detour for G1 (= 1) = 8;
         // matching bound is the same here (8) — now force a conflict:
@@ -272,7 +278,7 @@ mod tests {
         // if G1 gets task 0, or 0 + 8 = 10 if task 1 → matching picks 3.
         let b = participation_bound(&conflict);
         assert!((b - 3.0).abs() < 1e-9, "matching bound {b}");
-        let o = crate::branch_bound::BranchBound::default().solve(&conflict).unwrap().cost;
+        let o = optimum(&conflict);
         assert!((o - 3.0).abs() < 1e-9, "this bound is tight here, optimum {o}");
     }
 

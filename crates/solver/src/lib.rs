@@ -24,13 +24,16 @@
 //! ## Quick example
 //!
 //! ```
-//! use gridvo_solver::{AssignmentInstance, branch_bound::BranchBound};
+//! use gridvo_solver::{AssignmentInstance, BranchBound, Budget};
 //!
 //! // 3 tasks on 2 GSPs (task-major matrices).
 //! let cost = vec![1.0, 4.0,   2.0, 1.0,   3.0, 2.0];
 //! let time = vec![1.0, 2.0,   1.0, 2.0,   1.0, 2.0];
 //! let inst = AssignmentInstance::new(3, 2, cost, time, 4.0, 100.0).unwrap();
-//! let sol = BranchBound::default().solve(&inst).expect("feasible");
+//! let sol = BranchBound::default()
+//!     .solve(&inst, None, &Budget::unlimited())
+//!     .outcome()
+//!     .expect("feasible");
 //! assert!(sol.optimal);
 //! // tasks 0 and 2 on GSP 0, task 1 on GSP 1: cost 1 + 1 + 3 = 5 would
 //! // violate nothing, but 0→G0, 1→G1, 2→G1 costs 1 + 1 + 2 = 4 and
@@ -48,13 +51,11 @@ pub mod heuristics;
 pub mod hungarian;
 pub mod instance;
 pub mod parallel;
-pub mod portfolio;
 pub mod repair;
 pub mod solution;
 
-pub use branch_bound::{BranchBound, Budget, IncumbentSource, SolveOutcome};
+pub use branch_bound::{BranchBound, Budget, IncumbentSource, SolveOutcome, SolveStatus};
 pub use instance::AssignmentInstance;
-pub use portfolio::Portfolio;
 pub use solution::{Assignment, FeasibilityError};
 
 /// Errors produced while constructing or solving instances.

@@ -16,10 +16,9 @@
 
 use crate::bounds::BoundTables;
 use crate::branch_bound::{
-    gap_for, root_lower_bound, Budget, IncumbentSink, IncumbentSource, Searcher, SolveOutcome,
-    SolveStatus, COST_EPS,
+    gap_for, root_lower_bound, starting_incumbent, Budget, IncumbentSink, IncumbentSource,
+    Searcher, SolveOutcome, SolveStatus, COST_EPS,
 };
-use crate::heuristics;
 use crate::instance::AssignmentInstance;
 use crate::solution::Assignment;
 use parking_lot::Mutex;
@@ -30,22 +29,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParallelBranchBound {
     /// Per-subtree node budget (the global budget is roughly
-    /// `frontier × max_nodes_per_subtree`).
+    /// `frontier × max_nodes_per_subtree`; the frontier stops growing
+    /// once it holds `4 × rayon::current_num_threads()` subproblems).
     pub max_nodes_per_subtree: u64,
-    /// Stop growing the frontier once it holds at least this many
-    /// subproblems. Defaults to `4 × rayon::current_num_threads()`.
-    pub target_frontier: Option<usize>,
-    /// Seed the shared incumbent with the heuristic portfolio.
+    /// Start the shared incumbent from the heuristic seed
+    /// ([`crate::heuristics::seed_incumbent`]).
     pub seed_incumbent: bool,
 }
 
 impl Default for ParallelBranchBound {
     fn default() -> Self {
-        ParallelBranchBound {
-            max_nodes_per_subtree: 50_000_000,
-            target_frontier: None,
-            seed_incumbent: true,
-        }
+        ParallelBranchBound { max_nodes_per_subtree: 50_000_000, seed_incumbent: true }
     }
 }
 
@@ -93,52 +87,13 @@ impl IncumbentSink for SharedIncumbent {
 }
 
 impl ParallelBranchBound {
-    /// Solve in parallel. Semantics match
-    /// [`BranchBound::solve`](crate::branch_bound::BranchBound::solve).
-    pub fn solve(&self, inst: &AssignmentInstance) -> Option<SolveOutcome> {
-        match self.solve_status(inst) {
-            SolveStatus::Optimal(o) | SolveStatus::Feasible(o) => Some(o),
-            _ => None,
-        }
-    }
-
-    /// Solve with full status reporting.
-    pub fn solve_status(&self, inst: &AssignmentInstance) -> SolveStatus {
-        self.solve_status_with_incumbent(inst, None)
-    }
-
-    /// Like [`ParallelBranchBound::solve`], additionally seeding the
-    /// shared incumbent with a caller-supplied warm assignment (e.g.
-    /// the previous eviction round's repaired optimum). Infeasible or
-    /// wrong-shaped warm assignments are silently ignored.
-    pub fn solve_with_incumbent(
-        &self,
-        inst: &AssignmentInstance,
-        warm: Option<&Assignment>,
-    ) -> Option<SolveOutcome> {
-        match self.solve_status_with_incumbent(inst, warm) {
-            SolveStatus::Optimal(o) | SolveStatus::Feasible(o) => Some(o),
-            _ => None,
-        }
-    }
-
-    /// Full-status variant of
-    /// [`ParallelBranchBound::solve_with_incumbent`].
-    pub fn solve_status_with_incumbent(
-        &self,
-        inst: &AssignmentInstance,
-        warm: Option<&Assignment>,
-    ) -> SolveStatus {
-        self.solve_status_with_budget(inst, warm, &Budget::unlimited())
-    }
-
-    /// Budgeted variant of
-    /// [`ParallelBranchBound::solve_status_with_incumbent`]: every
-    /// subtree worker honors the shared wall-clock deadline, and the
-    /// node cap applies per subtree (combined with
-    /// `max_nodes_per_subtree`). [`Budget::unlimited`] is the same
-    /// code path as the plain parallel solve.
-    pub fn solve_status_with_budget(
+    /// Solve in parallel under `budget`, optionally seeded with a warm
+    /// incumbent. Semantics match
+    /// [`BranchBound::solve`](crate::branch_bound::BranchBound::solve):
+    /// every subtree worker honors the shared wall-clock deadline, and
+    /// the node cap applies per subtree (combined with
+    /// `max_nodes_per_subtree`).
+    pub fn solve(
         &self,
         inst: &AssignmentInstance,
         warm: Option<&Assignment>,
@@ -147,25 +102,13 @@ impl ParallelBranchBound {
         let tables = BoundTables::new(inst);
         let shared = SharedIncumbent::new();
         let mut seed_source = IncumbentSource::None;
-        if self.seed_incumbent {
-            if let Some(seed) = heuristics::seed_incumbent(inst) {
-                let cost = seed.total_cost(inst);
-                if shared.offer(cost, seed.as_slice()) {
-                    seed_source = IncumbentSource::Heuristic;
-                }
-            }
-        }
-        if let Some(w) = warm.filter(|a| a.is_feasible(inst)) {
-            // accepted only when strictly cheaper than the heuristic
-            if shared.offer(w.total_cost(inst), w.as_slice()) {
-                seed_source = IncumbentSource::Warm;
-            }
+        if let Some((seed, cost, source)) = starting_incumbent(inst, warm, self.seed_incumbent) {
+            shared.offer(cost, seed.as_slice());
+            seed_source = source;
         }
         let seed_cost = shared.best_cost();
 
-        let target =
-            self.target_frontier.unwrap_or_else(|| 4 * rayon::current_num_threads().max(1));
-        let frontier = build_frontier(inst, &tables, target);
+        let frontier = build_frontier(inst, &tables, 4 * rayon::current_num_threads().max(1));
 
         let total_nodes = AtomicU64::new(0);
         let any_deadline_hit = AtomicBool::new(false);
@@ -334,8 +277,9 @@ mod tests {
     #[test]
     fn matches_sequential_optimum() {
         let i = structured(40, 5, 40.0, 1e6);
-        let seq = BranchBound::default().solve(&i).unwrap();
-        let par = ParallelBranchBound::default().solve(&i).unwrap();
+        let seq = BranchBound::default().solve(&i, None, &Budget::unlimited()).outcome().unwrap();
+        let par =
+            ParallelBranchBound::default().solve(&i, None, &Budget::unlimited()).outcome().unwrap();
         assert!(seq.optimal && par.optimal);
         assert!((seq.cost - par.cost).abs() < 1e-9, "{} vs {}", seq.cost, par.cost);
         par.assignment.check_feasible(&i).unwrap();
@@ -344,7 +288,7 @@ mod tests {
     #[test]
     fn detects_infeasible() {
         let i = AssignmentInstance::new(2, 2, vec![10.0; 4], vec![1.0; 4], 10.0, 5.0).unwrap();
-        match ParallelBranchBound::default().solve_status(&i) {
+        match ParallelBranchBound::default().solve(&i, None, &Budget::unlimited()) {
             SolveStatus::Infeasible { .. } => {}
             other => panic!("expected infeasible, got {other:?}"),
         }
@@ -353,8 +297,8 @@ mod tests {
     #[test]
     fn tight_deadline_agreement() {
         let i = structured(24, 4, 12.0, 1e6);
-        let seq = BranchBound::default().solve_status(&i);
-        let par = ParallelBranchBound::default().solve_status(&i);
+        let seq = BranchBound::default().solve(&i, None, &Budget::unlimited());
+        let par = ParallelBranchBound::default().solve(&i, None, &Budget::unlimited());
         match (seq, par) {
             (SolveStatus::Optimal(a), SolveStatus::Optimal(b)) => {
                 assert!((a.cost - b.cost).abs() < 1e-9);

@@ -6,12 +6,12 @@
 //! next round: only the evicted GSP's tasks are orphaned. This module
 //! greedily re-homes those orphans onto the survivors, producing a
 //! feasible incumbent that upper-bounds the next IP — usually far
-//! tighter than the heuristic portfolio, since it inherits an optimal
+//! tighter than the heuristic seed, since it inherits an optimal
 //! placement of every non-orphaned task.
 //!
 //! The repair is *best-effort*: it returns `None` whenever the greedy
 //! re-homing violates any constraint (deadline, payment), and callers
-//! ([`crate::branch_bound::BranchBound::solve_with_incumbent`]) fall
+//! ([`crate::branch_bound::BranchBound::solve`]'s `warm` argument) fall
 //! back to the heuristic seed. Because a warm incumbent only tightens
 //! the initial upper bound of an exact search, a failed (or suboptimal)
 //! repair can never change the solved cost — only the node count.
@@ -195,14 +195,15 @@ mod tests {
 
     #[test]
     fn solver_falls_back_to_heuristic_seed_on_failed_repair() {
-        use crate::branch_bound::{BranchBound, IncumbentSource};
+        use crate::branch_bound::{BranchBound, Budget, IncumbentSource};
         let full = inst3();
         let sub = drop_column(&full, 2);
         // A deliberately infeasible warm assignment (idle GSP): the
         // solver must ignore it and still solve to optimality.
         let bogus = Assignment::new(vec![0, 0, 0, 0]);
-        let cold = BranchBound::default().solve(&sub).unwrap();
-        let warm = BranchBound::default().solve_with_incumbent(&sub, Some(&bogus)).unwrap();
+        let unlimited = Budget::unlimited();
+        let cold = BranchBound::default().solve(&sub, None, &unlimited).outcome().unwrap();
+        let warm = BranchBound::default().solve(&sub, Some(&bogus), &unlimited).outcome().unwrap();
         assert_eq!(cold.cost, warm.cost);
         assert!(warm.optimal);
         assert_ne!(warm.incumbent_source, IncumbentSource::Warm);
@@ -210,15 +211,17 @@ mod tests {
 
     #[test]
     fn good_repair_seeds_the_solver_and_never_changes_the_optimum() {
+        use crate::branch_bound::{BranchBound, Budget};
+        let solve = |inst: &AssignmentInstance, warm: Option<&Assignment>| {
+            BranchBound::default().solve(inst, warm, &Budget::unlimited()).outcome().unwrap()
+        };
         let full = inst3();
-        let opt_full = crate::branch_bound::BranchBound::default().solve(&full).unwrap();
+        let opt_full = solve(&full, None);
         for evicted in 0..3 {
             let sub = drop_column(&full, evicted);
             let warm = repair_after_eviction(&opt_full.assignment, evicted, &sub);
-            let cold = crate::branch_bound::BranchBound::default().solve(&sub).unwrap();
-            let seeded = crate::branch_bound::BranchBound::default()
-                .solve_with_incumbent(&sub, warm.as_ref())
-                .unwrap();
+            let cold = solve(&sub, None);
+            let seeded = solve(&sub, warm.as_ref());
             assert!((cold.cost - seeded.cost).abs() < 1e-9);
             assert!(seeded.nodes <= cold.nodes, "warm start expanded more nodes");
         }

@@ -19,7 +19,7 @@ use gridvo_game::division::{equal_split, shapley_exact};
 use gridvo_game::{CharacteristicFn, Coalition};
 use gridvo_sim::instance_gen::ScenarioGenerator;
 use gridvo_sim::TableI;
-use gridvo_solver::branch_bound::BranchBound;
+use gridvo_solver::branch_bound::{BranchBound, Budget};
 use rand::SeedableRng;
 
 fn main() {
@@ -52,7 +52,10 @@ fn main() {
     let payment = scenario.payment();
     let game = MemoCharacteristic::new(FnGame::new(scenario.gsp_count(), |c: Coalition| {
         let members = c.to_vec();
-        match scenario.instance_for(&members).and_then(|inst| solver.solve(&inst)) {
+        match scenario
+            .instance_for(&members)
+            .and_then(|inst| solver.solve(&inst, None, &Budget::unlimited()).outcome())
+        {
             Some(o) => (payment - o.cost).max(0.0),
             None => 0.0,
         }

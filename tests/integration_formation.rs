@@ -8,7 +8,7 @@ use gridvo_core::{pareto, stability};
 use gridvo_sim::instance_gen::ScenarioGenerator;
 use gridvo_sim::runner::seeded_rng;
 use gridvo_sim::TableI;
-use gridvo_solver::branch_bound::BranchBound;
+use gridvo_solver::branch_bound::{BranchBound, Budget};
 
 fn small_cfg() -> TableI {
     TableI {
@@ -51,7 +51,10 @@ fn selected_cost_matches_independent_resolve() {
     let outcome = Mechanism::tvof(FormationConfig::default()).run(&s, &mut rng).unwrap();
     let vo = outcome.selected.unwrap();
     let inst = s.instance_for(&vo.members).unwrap();
-    let again = BranchBound::default().solve(&inst).expect("feasible");
+    let again = BranchBound::default()
+        .solve(&inst, None, &Budget::unlimited())
+        .outcome()
+        .expect("feasible");
     assert!((again.cost - vo.cost).abs() < 1e-9, "cost must be solver-independent");
 }
 

@@ -9,7 +9,7 @@ use gridvo_game::{CharacteristicFn, Coalition};
 use gridvo_sim::instance_gen::ScenarioGenerator;
 use gridvo_sim::runner::seeded_rng;
 use gridvo_sim::TableI;
-use gridvo_solver::branch_bound::BranchBound;
+use gridvo_solver::branch_bound::{BranchBound, Budget};
 
 fn vo_game(
     seed: u64,
@@ -28,7 +28,9 @@ fn vo_game(
     let s2 = scenario.clone();
     let game = MemoCharacteristic::new(FnGame::new(scenario.gsp_count(), move |c: Coalition| {
         let members = c.to_vec();
-        match s2.instance_for(&members).and_then(|inst| BranchBound::default().solve(&inst)) {
+        match s2.instance_for(&members).and_then(|inst| {
+            BranchBound::default().solve(&inst, None, &Budget::unlimited()).outcome()
+        }) {
             Some(o) => (payment - o.cost).max(0.0),
             None => 0.0,
         }
@@ -122,7 +124,9 @@ fn subcoalition_values_bounded_by_profit_identity() {
         let members = c.to_vec();
         let direct = scenario
             .instance_for(&members)
-            .and_then(|inst| BranchBound::default().solve(&inst))
+            .and_then(|inst| {
+                BranchBound::default().solve(&inst, None, &Budget::unlimited()).outcome()
+            })
             .map(|o| (payment - o.cost).max(0.0))
             .unwrap_or(0.0);
         assert!((game.value(c) - direct).abs() < 1e-9);

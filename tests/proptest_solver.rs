@@ -6,10 +6,9 @@
 //! verdict, same optimal cost. Heuristics must be sound (feasible or
 //! `None`) and never beat the optimum.
 
-use gridvo_solver::branch_bound::{BranchBound, Budget, SolveStatus};
+use gridvo_solver::branch_bound::{BranchBound, Budget, SolveOutcome, SolveStatus};
 use gridvo_solver::heuristics::{self, Heuristic};
 use gridvo_solver::parallel::ParallelBranchBound;
-use gridvo_solver::portfolio::Portfolio;
 use gridvo_solver::{brute, repair, AssignmentInstance};
 use proptest::prelude::*;
 
@@ -32,13 +31,19 @@ fn small_instance() -> impl Strategy<Value = AssignmentInstance> {
     })
 }
 
+/// Unbudgeted exact solve: the proven optimum, or `None` when the
+/// instance is infeasible.
+fn solve(bb: BranchBound, inst: &AssignmentInstance) -> Option<SolveOutcome> {
+    bb.solve(inst, None, &Budget::unlimited()).outcome()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
     #[test]
     fn branch_and_bound_matches_brute_force(inst in small_instance()) {
         let oracle = brute::solve(&inst).expect("small instances enumerate");
-        let bb = BranchBound::default().solve(&inst);
+        let bb = solve(BranchBound::default(), &inst);
         match (oracle, bb) {
             (None, None) => {}
             (Some((_, oc)), Some(o)) => {
@@ -54,8 +59,8 @@ proptest! {
 
     #[test]
     fn parallel_matches_sequential(inst in small_instance()) {
-        let seq = BranchBound::default().solve(&inst);
-        let par = ParallelBranchBound::default().solve(&inst);
+        let seq = solve(BranchBound::default(), &inst);
+        let par = ParallelBranchBound::default().solve(&inst, None, &Budget::unlimited()).outcome();
         match (seq, par) {
             (None, None) => {}
             (Some(a), Some(b)) => prop_assert!((a.cost - b.cost).abs() < 1e-9,
@@ -67,8 +72,8 @@ proptest! {
 
     #[test]
     fn unseeded_search_matches_seeded(inst in small_instance()) {
-        let seeded = BranchBound { seed_incumbent: true, ..Default::default() }.solve(&inst);
-        let bare = BranchBound { seed_incumbent: false, ..Default::default() }.solve(&inst);
+        let seeded = solve(BranchBound { seed_incumbent: true, ..Default::default() }, &inst);
+        let bare = solve(BranchBound { seed_incumbent: false, ..Default::default() }, &inst);
         match (seeded, bare) {
             (None, None) => {}
             (Some(a), Some(b)) => prop_assert!((a.cost - b.cost).abs() < 1e-9),
@@ -78,7 +83,7 @@ proptest! {
 
     #[test]
     fn heuristics_sound_and_never_better_than_optimal(inst in small_instance()) {
-        let optimal = BranchBound::default().solve(&inst).map(|o| o.cost);
+        let optimal = solve(BranchBound::default(), &inst).map(|o| o.cost);
         for kind in [Heuristic::GreedyCost, Heuristic::MinMin,
                      Heuristic::MaxMin, Heuristic::Sufferage] {
             if let Some(a) = heuristics::run(kind, &inst) {
@@ -97,8 +102,8 @@ proptest! {
         let k = inst.gsps();
         let perm: Vec<usize> = (0..k).rev().collect();
         let permuted = inst.restrict_gsps(&perm).expect("full permutation");
-        let a = BranchBound::default().solve(&inst).map(|o| o.cost);
-        let b = BranchBound::default().solve(&permuted).map(|o| o.cost);
+        let a = solve(BranchBound::default(), &inst).map(|o| o.cost);
+        let b = solve(BranchBound::default(), &permuted).map(|o| o.cost);
         match (a, b) {
             (None, None) => {}
             (Some(x), Some(y)) => prop_assert!((x - y).abs() < 1e-9),
@@ -115,7 +120,7 @@ proptest! {
     fn repair_is_feasible_and_never_beats_reduced_optimum(inst in small_instance()) {
         let k = inst.gsps();
         prop_assume!(k >= 2);
-        let Some(opt) = BranchBound::default().solve(&inst) else { return Ok(()) };
+        let Some(opt) = solve(BranchBound::default(), &inst) else { return Ok(()) };
         for evicted in 0..k {
             let keep: Vec<usize> = (0..k).filter(|&g| g != evicted).collect();
             let sub = inst.restrict_gsps(&keep).expect("valid restriction");
@@ -132,21 +137,10 @@ proptest! {
         }
     }
 
-    /// The tentpole's differential guarantee: the racing portfolio
-    /// under an unlimited budget is the exact solver — not "equally
-    /// optimal" but the *same* `SolveStatus` value, telemetry and all.
-    #[test]
-    fn portfolio_with_unlimited_budget_is_bit_identical_to_exact(inst in small_instance()) {
-        let exact = BranchBound::default().solve_status(&inst);
-        let raced = Portfolio::default()
-            .solve_status_with_budget(&inst, None, &Budget::unlimited());
-        prop_assert_eq!(exact, raced);
-    }
-
     /// Gap soundness against the brute-force oracle: under any node
     /// budget, a feasible outcome's reported bracket must contain the
     /// true optimum — `lower_bound ≤ optimum ≤ incumbent cost` — and
-    /// the gap must match its definition.
+    /// the gap must match its definition, for both exact solvers.
     #[test]
     fn reported_gap_brackets_the_true_optimum(
         inst in small_instance(),
@@ -155,8 +149,8 @@ proptest! {
         let oracle = brute::solve(&inst).expect("small instances enumerate");
         let budget = Budget { deadline: None, max_nodes };
         for status in [
-            Portfolio::default().solve_status_with_budget(&inst, None, &budget),
-            BranchBound::default().solve_status_with_budget(&inst, None, &budget),
+            BranchBound::default().solve(&inst, None, &budget),
+            ParallelBranchBound::default().solve(&inst, None, &budget),
         ] {
             match status {
                 SolveStatus::Optimal(o) => {
@@ -192,8 +186,8 @@ proptest! {
             (0..inst.tasks()).flat_map(|t| inst.time_row(t).to_vec()).collect(),
             inst.deadline(), inst.payment() * 2.0,
         ).expect("valid");
-        let base = BranchBound::default().solve(&inst);
-        let rich = BranchBound::default().solve(&richer);
+        let base = solve(BranchBound::default(), &inst);
+        let rich = solve(BranchBound::default(), &richer);
         if let Some(b) = &base {
             let r = rich.as_ref().expect("loosening payment keeps feasibility");
             prop_assert!(r.cost <= b.cost + 1e-9);
